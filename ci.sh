@@ -34,6 +34,20 @@ git diff --exit-code -- results/exp_recovery.csv || {
     exit 1
 }
 
+# F2 and E9 drive the same LinnOS datapath as E10
+# (`storagesim::sim::Datapath`) and are seeded on simulated time too: their
+# CSVs are the oracles that the datapath still behaves the same, so they
+# must regenerate byte-identical.
+for csv in fig2_linnos exp_faults; do
+    cargo run --release -p gr-bench --bin "${csv}" >/dev/null
+    git diff --exit-code -- "results/${csv}.csv" || {
+        echo "${csv}.csv changed: the LinnOS datapath is no longer" \
+             "deterministic (or the committed results are stale — rerun" \
+             "and commit them)." >&2
+        exit 1
+    }
+done
+
 # Criterion smoke run: the offline criterion shim caps every benchmark at a
 # ~25ms budget, so the whole suite is a fast sanity pass that the bench
 # targets still run (the numbers themselves are not gated).

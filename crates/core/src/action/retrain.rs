@@ -10,9 +10,9 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 use simkernel::Nanos;
 
@@ -135,7 +135,7 @@ impl AsyncRetrainer {
     /// Spawns the trainer thread, optionally without panic isolation
     /// (`protected = false` models the unhardened runtime).
     pub fn with_protection(protected: bool) -> Self {
-        let (tx, rx) = unbounded::<Job>();
+        let (tx, rx) = channel::<Job>();
         let completed = Arc::new(Mutex::new(Vec::new()));
         let completed_worker = Arc::clone(&completed);
         let panicked = Arc::new(AtomicU64::new(0));

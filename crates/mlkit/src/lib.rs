@@ -6,7 +6,7 @@
 //! queried inside a simulation loop. This crate implements them from scratch:
 //! a row-major matrix type, a multi-layer perceptron with backpropagation,
 //! SGD/Adam optimizers, logistic regression, online feature standardization,
-//! a replay buffer, multi-armed bandits, and classification metrics.
+//! a replay buffer, and tabular Q-learning.
 //!
 //! The models are deliberately *imperfect in realistic ways* — they are
 //! trained on data from the simulation and degrade under distribution shift,
@@ -14,11 +14,8 @@
 
 #![warn(missing_docs)]
 
-pub mod bandit;
-pub mod dataset;
 pub mod linear;
 pub mod loss;
-pub mod metrics;
 pub mod mlp;
 pub mod optim;
 pub mod qlearn;
@@ -26,11 +23,8 @@ pub mod replay;
 pub mod scaler;
 pub mod tensor;
 
-pub use bandit::{EpsilonGreedy, Ucb1};
-pub use dataset::Dataset;
 pub use linear::LogisticRegression;
 pub use loss::Loss;
-pub use metrics::ConfusionMatrix;
 pub use mlp::{Activation, Mlp, MlpConfig, OutputCorruption};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use qlearn::QTable;

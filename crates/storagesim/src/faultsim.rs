@@ -1,10 +1,10 @@
 //! Chaos-harness scenarios: the LinnOS setting under injected faults.
 //!
-//! Each scenario runs the Figure 2 datapath (flash array + learned
-//! classifier + guardrail monitor) while a [`FaultInjector`] breaks one
-//! thing on a schedule, twice: once with the **seed** runtime (all
-//! resilience off, feature-store quarantine disabled — the engine exactly as
-//! it shipped) and once with the **hardened** runtime
+//! Each scenario runs the Figure 2 datapath (`sim::Datapath`: flash array
+//! and learned classifier) under a guardrail monitor while a
+//! [`FaultInjector`] breaks one thing on a schedule, twice: once with the
+//! **seed** runtime (all resilience off, feature-store quarantine disabled
+//! — the engine exactly as it shipped) and once with the **hardened** runtime
 //! ([`RuntimeConfig::hardened`]: [`ResilienceConfig::hardened`] plus the
 //! store's non-finite quarantine, applied in one
 //! [`MonitorEngine::apply_runtime`] call).
@@ -38,11 +38,8 @@ use guardrails::policy::VARIANT_LEARNED;
 use mlkit::OutputCorruption;
 use simkernel::{MovingAverage, Nanos};
 
-use crate::array::FlashArray;
 use crate::device::FlashDeviceConfig;
-use crate::linnos::LinnosClassifier;
-use crate::sim::{LinnosSimConfig, LISTING_2_SPEC};
-use crate::workload::Workload;
+use crate::sim::{Datapath, LinnosSimConfig, PhaseStats, LISTING_2_SPEC};
 
 /// Latency-SLO guardrail for the transient device faults. A brownout slows
 /// *every* replica, so the learned policy correctly predicts "slow"
@@ -204,64 +201,41 @@ pub fn quiet_injected_panics() {
     }));
 }
 
-/// Per-kind timeline: how long to run, whether the Figure 2 distribution
-/// shift happens, and when the fault window sits.
-struct Timeline {
-    total: Nanos,
-    shift_at: Option<Nanos>,
-    window: (Nanos, Nanos),
-}
-
-fn timeline_for(kind: &FaultKind) -> Timeline {
+/// Per-kind timeline: the run's warmup/healthy/shifted phases (no shift
+/// means `shifted = 0`) and where the fault window sits.
+fn timeline_for(kind: &FaultKind, seed: u64) -> (LinnosSimConfig, (Nanos, Nanos)) {
     let secs = Nanos::from_secs;
-    match kind {
+    let (total, shift_at, window) = match kind {
         // Transient environment faults on a healthy (never-shifted) system.
-        FaultKind::DeviceBrownout { .. } => Timeline {
-            total: secs(10),
-            shift_at: None,
-            window: (secs(4), secs(6)),
-        },
-        FaultKind::GcStorm => Timeline {
-            total: secs(10),
-            shift_at: None,
-            window: (secs(4), secs(7)),
-        },
-        FaultKind::PoisonModelOutput { .. } => Timeline {
-            total: secs(10),
-            shift_at: None,
-            window: (secs(4), secs(6)),
-        },
+        FaultKind::DeviceBrownout { .. } => (secs(10), None, (secs(4), secs(6))),
+        FaultKind::GcStorm => (secs(10), None, (secs(4), secs(7))),
+        FaultKind::PoisonModelOutput { .. } => (secs(10), None, (secs(4), secs(6))),
         // Guardrail-machinery faults paired with the Figure 2 shift, so the
         // guardrail has real work to do exactly while it is broken.
-        FaultKind::DroppedSaves { .. } => Timeline {
-            total: secs(12),
-            shift_at: Some(secs(5)),
-            window: (secs(4), Nanos::MAX),
-        },
-        FaultKind::FuelExhaustion { .. } => Timeline {
-            total: secs(12),
-            shift_at: Some(secs(5)),
-            window: (secs(5), Nanos::MAX),
-        },
-        FaultKind::ReplaceTargetMissing => Timeline {
-            total: secs(12),
-            shift_at: Some(secs(5)),
-            window: (secs(3), Nanos::MAX),
-        },
-        FaultKind::RetrainPanic => Timeline {
-            total: secs(14),
-            shift_at: Some(secs(5)),
-            window: (Nanos::from_millis(5_500), secs(8)),
-        },
+        FaultKind::DroppedSaves { .. } => (secs(12), Some(secs(5)), (secs(4), Nanos::MAX)),
+        FaultKind::FuelExhaustion { .. } => (secs(12), Some(secs(5)), (secs(5), Nanos::MAX)),
+        FaultKind::ReplaceTargetMissing => (secs(12), Some(secs(5)), (secs(3), Nanos::MAX)),
+        FaultKind::RetrainPanic => (
+            secs(14),
+            Some(secs(5)),
+            (Nanos::from_millis(5_500), secs(8)),
+        ),
         // Crash-family faults are whole-node events, not in-flight ones:
         // they are exercised by the `recovery` module's crash-restart
         // scenarios (E10), which own their own timeline.
-        FaultKind::Crash | FaultKind::TornWrite { .. } | FaultKind::SnapshotCorrupt => Timeline {
-            total: secs(14),
-            shift_at: Some(secs(5)),
-            window: (secs(8), secs(8)),
-        },
-    }
+        FaultKind::Crash | FaultKind::TornWrite { .. } | FaultKind::SnapshotCorrupt => {
+            (secs(14), Some(secs(5)), (secs(8), secs(8)))
+        }
+    };
+    let base = LinnosSimConfig::default();
+    let shift_at = shift_at.unwrap_or(total);
+    let config = LinnosSimConfig {
+        seed,
+        healthy: shift_at - base.warmup,
+        shifted: total - shift_at,
+        ..base
+    };
+    (config, window)
 }
 
 /// Runs one fault scenario to completion.
@@ -277,10 +251,8 @@ fn timeline_for(kind: &FaultKind) -> Timeline {
 /// Panics if one of the scenario guardrail specs fails to compile; they are
 /// constants, so that would be a bug in this crate.
 pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRunReport {
-    let base = LinnosSimConfig::default();
-    let timeline = timeline_for(&kind);
-    let (fault_start, fault_end) = timeline.window;
-    let warmup_end = Nanos::from_secs(2);
+    let (config, (fault_start, fault_end)) = timeline_for(&kind, seed);
+    let base_device = config.device;
 
     let mut engine = MonitorEngine::new();
     let runtime = if hardened {
@@ -348,49 +320,23 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
             .expect("just installed");
     }
 
-    let mut array = FlashArray::new(base.device, 2, base.revoke_overhead, seed);
-    let mut classifier = LinnosClassifier::new(base.linnos);
-    array.set_slow_threshold(classifier.config().slow_threshold);
-    let decision_threshold = classifier.config().decision_threshold;
-    let mut workload = Workload::new(base.workload, seed ^ 0xAB);
-
+    let mut datapath = Datapath::new(&config);
     let plan = FaultPlan::new().inject(fault_start, fault_end, kind.clone());
     let mut injector = FaultInjector::new(plan);
 
     let uses_registry_gate = matches!(kind, FaultKind::ReplaceTargetMissing);
-    let mut recent_false: std::collections::VecDeque<bool> = std::collections::VecDeque::new();
-    let mut moving = MovingAverage::new(base.moving_avg_window);
+    let mut moving = MovingAverage::new(config.moving_avg_window);
     let mut health_ewma = 0.0f64;
-    let mut trained = false;
-    let mut shifted = false;
     let mut baseline = None;
     let mut detection_at = None;
     let mut ml_off_at = None;
     let mut replaced_at = None;
     let mut retrain_applied_at = None;
     let mut retrains_applied = 0u64;
-    let mut healthy_lat = (0u64, 0u64); // (sum ns, ios)
-    let mut post_fault_lat = (0u64, 0u64);
     // Reused command buffer: drained every I/O, almost always empty.
     let mut cmd_buf = Vec::new();
 
-    loop {
-        let now = workload.next_arrival();
-        if now >= timeline.total {
-            break;
-        }
-        if !trained && now >= warmup_end {
-            classifier.train_round();
-            trained = true;
-        }
-        if let Some(shift) = timeline.shift_at {
-            if !shifted && now >= shift {
-                array.set_device_config(base.shifted_device);
-                workload.set_config(base.shifted_workload);
-                shifted = true;
-            }
-        }
-
+    while let Some(now) = datapath.next_arrival() {
         // Apply fault transitions crossed since the last arrival.
         for transition in injector.poll(now) {
             let starting = transition.phase == FaultPhase::Started;
@@ -399,14 +345,14 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
                     let config = if starting {
                         FlashDeviceConfig {
                             base_latency: Nanos::from_nanos(
-                                (base.device.base_latency.as_nanos() as f64 * slowdown) as u64,
+                                (base_device.base_latency.as_nanos() as f64 * slowdown) as u64,
                             ),
-                            ..base.device
+                            ..base_device
                         }
                     } else {
-                        base.device
+                        base_device
                     };
-                    array.set_device_config(config);
+                    datapath.array_mut().set_device_config(config);
                 }
                 FaultKind::GcStorm => {
                     let config = if starting {
@@ -414,12 +360,12 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
                             gc_interval: Nanos::from_millis(3),
                             gc_pause_min: Nanos::from_millis(2),
                             gc_pause_max: Nanos::from_millis(8),
-                            ..base.device
+                            ..base_device
                         }
                     } else {
-                        base.device
+                        base_device
                     };
-                    array.set_device_config(config);
+                    datapath.array_mut().set_device_config(config);
                 }
                 FaultKind::PoisonModelOutput { mode } => {
                     let corruption = starting.then_some(match mode {
@@ -427,7 +373,7 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
                         PoisonMode::Inf => OutputCorruption::Inf,
                         PoisonMode::OutOfRange => OutputCorruption::OutOfRange,
                     });
-                    classifier.set_output_corruption(corruption);
+                    datapath.classifier_mut().set_output_corruption(corruption);
                 }
                 FaultKind::FuelExhaustion { limit } => {
                     engine.set_rule_fuel_limit(starting.then_some(*limit));
@@ -450,7 +396,7 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
         }
 
         if baseline.is_none() && now >= fault_start {
-            baseline = Some((engine.stats(), store.poisoned_total()));
+            baseline = Some((engine.stats(), store.poisoned_total(), datapath.stats()));
         }
 
         engine.advance_to(now);
@@ -475,7 +421,7 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
                     // deterministic: applied at `now`, or not at all.
                     for _ in 0..6_000 {
                         if retrainer.completed().len() >= target {
-                            classifier.retrain();
+                            datapath.classifier_mut().retrain();
                             retrains_applied += 1;
                             if retrain_applied_at.is_none() && now >= fault_start {
                                 retrain_applied_at = Some(now);
@@ -505,7 +451,7 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
             replaced_at = Some(now);
         }
         if detection_at.is_none() {
-            if let Some((stats_then, poisoned_then)) = baseline {
+            if let Some((stats_then, poisoned_then, _)) = baseline {
                 let stats = engine.stats();
                 if stats.violations > stats_then.violations
                     || stats.watchdog_trips > stats_then.watchdog_trips
@@ -517,60 +463,35 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
         }
 
         // The datapath decision.
-        let ml_on = trained
+        let ml_on = datapath.trained()
             && store.flag("ml_enabled")
             && (!uses_registry_gate || registry.is_active("io_submit", VARIANT_LEARNED));
-        let mut proba = f64::NAN;
-        let classifier_ref = &mut classifier;
-        let outcome = array.submit(now, |features| {
-            if !ml_on {
-                return false;
-            }
-            proba = classifier_ref.predict_proba(features);
-            proba >= decision_threshold
-        });
-        if outcome.served_by == outcome.primary {
-            classifier.observe(&outcome.features, outcome.was_slow);
-        } else if let Some(probe_slow) = outcome.probe_was_slow {
-            classifier.observe(&outcome.features, probe_slow);
-        }
+        let (outcome, proba) = datapath.submit(now, ml_on);
 
         // Telemetry the guardrails read. The EWMA pipeline is deliberately
         // naive: one non-finite model output latches it forever, which is
         // exactly the poison pathway the store quarantine exists to contain.
-        if ml_on {
-            if matches!(kind, FaultKind::PoisonModelOutput { .. }) {
-                health_ewma = 0.98 * health_ewma + 0.02 * proba;
-                store.save("prediction_health", health_ewma);
-            }
-            recent_false.push_back(outcome.false_submit);
-        }
-        if recent_false.len() > base.rate_window {
-            recent_false.pop_front();
+        if ml_on && matches!(kind, FaultKind::PoisonModelOutput { .. }) {
+            health_ewma = 0.98 * health_ewma + 0.02 * proba;
+            store.save("prediction_health", health_ewma);
         }
         let saves_dropped = injector.is_active(
             now,
             |k| matches!(k, FaultKind::DroppedSaves { key } if key == "false_submit_rate"),
         );
-        if !recent_false.is_empty() && !saves_dropped {
-            let rate =
-                recent_false.iter().filter(|&&b| b).count() as f64 / recent_false.len() as f64;
-            store.save("false_submit_rate", rate);
+        if let Some(rate) = datapath.false_submit_rate() {
+            if !saves_dropped {
+                store.save("false_submit_rate", rate);
+            }
         }
 
         let avg = moving.push(outcome.latency.as_micros_f64());
         store.save("mean_io_latency_us", avg);
-        if now >= fault_start {
-            post_fault_lat.0 += outcome.latency.as_nanos();
-            post_fault_lat.1 += 1;
-        } else if now >= warmup_end {
-            healthy_lat.0 += outcome.latency.as_nanos();
-            healthy_lat.1 += 1;
-        }
     }
-    engine.advance_to(timeline.total);
+    let total = config.total();
+    engine.advance_to(total);
     if ml_off_at.is_none() && !store.flag("ml_enabled") {
-        ml_off_at = Some(timeline.total);
+        ml_off_at = Some(total);
     }
 
     // Scenario-specific safe/recovered state.
@@ -602,6 +523,8 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
     };
     let recovery = recovered_at.map(|t| t.saturating_sub(fault_start));
     let stats = engine.stats();
+    let end = datapath.stats();
+    let at_fault = baseline.map_or(end, |(_, _, at_fault)| at_fault);
     FaultRunReport {
         label: fault_label(&kind),
         hardened,
@@ -616,18 +539,11 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
         retrain_retries: stats.retrain_retries,
         poisoned_saves: store.poisoned_total(),
         retrains_applied,
-        post_fault_latency_us: mean_us(post_fault_lat),
-        healthy_latency_us: mean_us(healthy_lat),
+        post_fault_latency_us: PhaseStats::from_delta(at_fault, end).mean_latency_us,
+        healthy_latency_us: PhaseStats::from_delta(datapath.stats_at_train(), at_fault)
+            .mean_latency_us,
         ml_enabled_at_end: store.flag("ml_enabled"),
         wedged: recovery.is_none(),
-    }
-}
-
-fn mean_us(acc: (u64, u64)) -> f64 {
-    if acc.1 == 0 {
-        0.0
-    } else {
-        acc.0 as f64 / acc.1 as f64 / 1_000.0
     }
 }
 

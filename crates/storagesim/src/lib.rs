@@ -18,16 +18,18 @@
 //! - [`heuristic`]: baseline submission policies (always-primary, and a
 //!   queue-threshold failover);
 //! - [`mod@array`]: the 2-replica flash array with revoke/failover submission;
-//! - [`sim`]: the end-to-end simulation that wires the array to the
-//!   guardrail monitor engine and produces Figure 2's latency series;
-//! - [`faultsim`]: chaos-harness scenarios that rerun the setting under
-//!   injected faults, contrasting the seed guardrail runtime with the
+//! - [`sim`]: the one Figure 2 datapath (`sim::Datapath`: array,
+//!   classifier and workload on a training/shift timeline, with the
+//!   false-submit-rate window) and the end-to-end simulation that wires it
+//!   to the guardrail monitor engine and produces Figure 2's latency series;
+//! - [`faultsim`]: chaos-harness scenarios that drive the same datapath
+//!   under injected faults, contrasting the seed guardrail runtime with the
 //!   hardened one (experiment E9);
-//! - [`recovery`]: crash-restart scenarios that kill and reboot the
-//!   guardrail runtime itself, contrasting the seed runtime (loses every
-//!   guardrail decision) with the crash-consistent recovery runtime
-//!   (WAL + snapshot store, engine checkpoint, supervised restarts —
-//!   experiment E10).
+//! - [`recovery`]: crash-restart scenarios that drive the same datapath
+//!   while killing and rebooting the guardrail runtime itself, contrasting
+//!   the seed runtime (loses every guardrail decision) with the
+//!   crash-consistent recovery runtime (WAL + snapshot store, engine
+//!   checkpoint, supervised restarts — experiment E10).
 
 #![warn(missing_docs)]
 

@@ -4,8 +4,9 @@
 //! The fault experiments ([`crate::faultsim`], E9) break things *around* a
 //! running monitor engine. These scenarios kill the guardrail runtime
 //! itself — engine, feature store, and policy registry all die, as in a
-//! whole-node reboot — while the physical substrate (flash array, trained
-//! classifier weights, workload) persists. Each scenario runs twice:
+//! whole-node reboot — while the physical substrate (the Figure 2
+//! `sim::Datapath`: flash array, trained classifier weights, workload)
+//! persists. Each scenario runs twice:
 //!
 //! - **seed** runtime: no persistence. Every reboot re-runs init, which
 //!   restores the boot defaults (`ml_enabled = 1`, learned variant active).
@@ -38,7 +39,6 @@
 //! ([`Supervisor`]), after which the system keeps serving I/O on the safe
 //! fallback policy with no learned path and no monitors.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use guardrails::fault::FaultKind;
@@ -48,16 +48,12 @@ use guardrails::monitor::{
 };
 use guardrails::policy::{PolicyRegistry, VARIANT_LEARNED};
 use guardrails::store::durable::{DurableStore, MemBackend};
+use guardrails::store::FeatureStore;
 use simkernel::Nanos;
 
-use crate::array::FlashArray;
 use crate::faultsim::{fault_label, FAILOVER_QUALITY_SPEC};
-use crate::linnos::LinnosClassifier;
-use crate::sim::{LinnosSimConfig, LISTING_2_SPEC};
-use crate::workload::Workload;
+use crate::sim::{Datapath, LinnosSimConfig, PhaseStats, LISTING_2_SPEC};
 
-/// End of the training phase.
-const WARMUP_END: Nanos = Nanos::from_secs(2);
 /// The Figure 2 distribution shift.
 const SHIFT_AT: Nanos = Nanos::from_secs(5);
 /// Total simulated duration.
@@ -137,7 +133,7 @@ struct Node {
     /// `None` after a fail-closed escalation (safe mode: no monitors).
     engine: Option<MonitorEngine>,
     durable: Option<DurableStore>,
-    store: Arc<guardrails::store::FeatureStore>,
+    store: Arc<FeatureStore>,
     registry: Arc<PolicyRegistry>,
     /// `stats().violations` right after boot/restore, to delta against.
     violations_at_boot: u64,
@@ -172,23 +168,27 @@ impl Driver {
         registry
     }
 
+    /// Opens the node's feature store: the persisted one on the recovery
+    /// arm (recording what the reopen found), a fresh one on the seed arm.
+    fn open_store(&mut self) -> (Arc<FeatureStore>, Option<DurableStore>) {
+        if !self.durable {
+            return (Arc::new(FeatureStore::new()), None);
+        }
+        let (durable, rec) = DurableStore::open(self.backend.clone(), self.recovery_cfg.durability)
+            .expect("in-memory backend cannot fail");
+        self.report.wal_records_applied += rec.wal_records_applied;
+        self.report.torn_tail_bytes = self.report.torn_tail_bytes.max(rec.torn_tail_bytes);
+        self.report.snapshot_discarded |= rec.snapshot_corrupt;
+        self.report.tainted |= rec.tainted();
+        (durable.store(), Some(durable))
+    }
+
     /// Boots a guardrail node at `at`. `first` runs init (boot defaults);
     /// reboots recover persisted state instead (recovery arm) or re-run
     /// init (seed arm — which is exactly how decisions get lost).
     fn boot(&mut self, at: Nanos, first: bool) -> Node {
         let registry = self.fresh_registry();
-        let (store, durable) = if self.durable {
-            let (durable, rec) =
-                DurableStore::open(self.backend.clone(), self.recovery_cfg.durability)
-                    .expect("in-memory backend cannot fail");
-            self.report.wal_records_applied += rec.wal_records_applied;
-            self.report.torn_tail_bytes = self.report.torn_tail_bytes.max(rec.torn_tail_bytes);
-            self.report.snapshot_discarded |= rec.snapshot_corrupt;
-            self.report.tainted |= rec.tainted();
-            (durable.store(), Some(durable))
-        } else {
-            (Arc::new(guardrails::store::FeatureStore::new()), None)
-        };
+        let (store, durable) = self.open_store();
         let mut engine = MonitorEngine::with_parts(store.clone(), registry.clone());
         engine.apply_runtime(&self.runtime);
         engine.advance_to(at);
@@ -263,16 +263,7 @@ impl Driver {
     /// pinned, and no engine runs.
     fn safe_mode(&mut self) -> Node {
         let registry = self.fresh_registry();
-        let (store, durable) = if self.durable {
-            let (durable, rec) =
-                DurableStore::open(self.backend.clone(), self.recovery_cfg.durability)
-                    .expect("in-memory backend cannot fail");
-            self.report.wal_records_applied += rec.wal_records_applied;
-            self.report.tainted |= rec.tainted();
-            (durable.store(), Some(durable))
-        } else {
-            (Arc::new(guardrails::store::FeatureStore::new()), None)
-        };
+        let (store, durable) = self.open_store();
         fail_closed(&registry, &store, &["ml_enabled"]);
         Node {
             engine: None,
@@ -339,7 +330,6 @@ fn run_plan(
     durable: bool,
     seed: u64,
 ) -> RecoveryRunReport {
-    let base = LinnosSimConfig::default();
     let recovery_cfg = RecoveryConfig::default();
     let runtime = if durable {
         RuntimeConfig::seed().with_recovery(recovery_cfg)
@@ -374,35 +364,23 @@ fn run_plan(
     };
     let mut supervisor = Supervisor::new(recovery_cfg.supervisor);
 
-    let mut array = FlashArray::new(base.device, 2, base.revoke_overhead, seed);
-    let mut classifier = LinnosClassifier::new(base.linnos);
-    array.set_slow_threshold(classifier.config().slow_threshold);
-    let mut workload = Workload::new(base.workload, seed ^ 0xAB);
+    let base = LinnosSimConfig::default();
+    let mut datapath = Datapath::new(&LinnosSimConfig {
+        seed,
+        healthy: SHIFT_AT - base.warmup,
+        shifted: TOTAL - SHIFT_AT,
+        ..base
+    });
 
     let mut state = NodeState::Up(Box::new(driver.boot(Nanos::ZERO, true)));
     let mut crash_idx = 0usize;
-    // Monitor-side telemetry: dies with the node.
-    let mut recent_false: VecDeque<bool> = VecDeque::new();
-    let mut trained = false;
-    let mut shifted = false;
     let mut disabled_once = false;
     let mut ios = 0u64;
-    let mut healthy_lat = (0u64, 0u64); // (sum ns, ios)
-    let mut post_lat = (0u64, 0u64);
+    let mut stats_at_crash = None;
 
-    loop {
-        let now = workload.next_arrival();
-        if now >= TOTAL {
-            break;
-        }
-        if !trained && now >= WARMUP_END {
-            classifier.train_round();
-            trained = true;
-        }
-        if !shifted && now >= SHIFT_AT {
-            array.set_device_config(base.shifted_device);
-            workload.set_config(base.shifted_workload);
-            shifted = true;
+    while let Some(now) = datapath.next_arrival() {
+        if stats_at_crash.is_none() && now >= CRASH_AT {
+            stats_at_crash = Some(datapath.stats());
         }
 
         // Reboot if the backoff has elapsed.
@@ -422,7 +400,8 @@ fn run_plan(
                 if let NodeState::Up(node) = state {
                     driver.crash(*node, &kind);
                     crash_idx += 1;
-                    recent_false.clear();
+                    // Monitor-side telemetry dies with the node.
+                    datapath.reset_rate_window();
                     state = if durable {
                         match supervisor.on_crash(now) {
                             RestartDecision::Restart { at: t, .. } => NodeState::Down {
@@ -457,6 +436,7 @@ fn run_plan(
         }
 
         // The datapath decision, gated by the (possibly restored) state.
+        let trained = datapath.trained();
         let ml_on = trained
             && node.store.flag("ml_enabled")
             && node.registry.is_active(SLOT, VARIANT_LEARNED);
@@ -467,26 +447,10 @@ fn run_plan(
         if disabled_once && ml_on {
             driver.report.rearmed_ios += 1;
         }
-        let classifier_ref = &mut classifier;
-        let outcome = array.submit(now, |features| {
-            ml_on && classifier_ref.predict_slow(features)
-        });
-        if outcome.served_by == outcome.primary {
-            classifier.observe(&outcome.features, outcome.was_slow);
-        } else if let Some(probe_slow) = outcome.probe_was_slow {
-            classifier.observe(&outcome.features, probe_slow);
-        }
+        datapath.submit(now, ml_on);
 
         // Telemetry for Listing 2 (same pipeline as `sim`).
-        if ml_on {
-            recent_false.push_back(outcome.false_submit);
-        }
-        if recent_false.len() > base.rate_window {
-            recent_false.pop_front();
-        }
-        if !recent_false.is_empty() {
-            let rate =
-                recent_false.iter().filter(|&&b| b).count() as f64 / recent_false.len() as f64;
+        if let Some(rate) = datapath.false_submit_rate() {
             node.store.save("false_submit_rate", rate);
         }
 
@@ -501,14 +465,6 @@ fn run_plan(
                     .expect("in-memory backend cannot fail");
             }
         }
-
-        if now >= CRASH_AT {
-            post_lat.0 += outcome.latency.as_nanos();
-            post_lat.1 += 1;
-        } else if now >= WARMUP_END && now < SHIFT_AT {
-            healthy_lat.0 += outcome.latency.as_nanos();
-            healthy_lat.1 += 1;
-        }
     }
 
     if let NodeState::Up(node) = &mut state {
@@ -519,17 +475,13 @@ fn run_plan(
         driver.report.ml_enabled_at_end = node.store.flag("ml_enabled");
         driver.report.slot_learned_at_end = node.registry.is_active(SLOT, VARIANT_LEARNED);
     }
-    driver.report.healthy_latency_us = mean_us(healthy_lat);
-    driver.report.post_crash_latency_us = mean_us(post_lat);
+    let end = datapath.stats();
+    driver.report.healthy_latency_us =
+        PhaseStats::from_delta(datapath.stats_at_train(), datapath.stats_at_shift())
+            .mean_latency_us;
+    driver.report.post_crash_latency_us =
+        PhaseStats::from_delta(stats_at_crash.unwrap_or(end), end).mean_latency_us;
     driver.report
-}
-
-fn mean_us(acc: (u64, u64)) -> f64 {
-    if acc.1 == 0 {
-        0.0
-    } else {
-        acc.0 as f64 / acc.1 as f64 / 1_000.0
-    }
 }
 
 #[cfg(test)]
