@@ -48,6 +48,20 @@ for csv in fig2_linnos exp_faults; do
     }
 done
 
+# The other seeded experiments (Figure 1, E4–E8 and the probe ablation) run
+# on simulated time too, so their CSVs must regenerate byte-identical. E8's
+# CSV carries `modeled_ns` and `overhead_fraction` straight from the
+# per-monitor counter blocks, so it also checks the engine's counting.
+for csv in fig1_properties fig1_actions exp_drift exp_subsystems \
+           exp_oscillation exp_dependency exp_incremental exp_probe_ablation; do
+    cargo run --release -p gr-bench --bin "${csv}" >/dev/null
+    git diff --exit-code -- "results/${csv}.csv" || {
+        echo "${csv}.csv changed: the experiment is no longer deterministic" \
+             "(or the committed results are stale — rerun and commit them)." >&2
+        exit 1
+    }
+done
+
 # Criterion smoke run: the offline criterion shim caps every benchmark at a
 # ~25ms budget, so the whole suite is a fast sanity pass that the bench
 # targets still run (the numbers themselves are not gated).

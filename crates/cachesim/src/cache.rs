@@ -1,6 +1,6 @@
 //! A fixed-capacity cache with pluggable eviction.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use simkernel::DetRng;
 
@@ -33,8 +33,11 @@ pub struct Cache {
     policy: EvictionPolicy,
     /// Key -> (last-use tick, index into `order`).
     entries: HashMap<u64, (u64, usize)>,
-    /// Dense key list for deterministic victim selection.
+    /// Dense key list for deterministic random victim selection.
     order: Vec<u64>,
+    /// `(last-use tick, key)` of every resident key, kept in step with
+    /// `entries`: the first element is the LRU victim.
+    lru: BTreeSet<(u64, u64)>,
     tick: u64,
     hits: u64,
     lookups: u64,
@@ -49,6 +52,7 @@ impl Cache {
             policy,
             entries: HashMap::new(),
             order: Vec::new(),
+            lru: BTreeSet::new(),
             tick: 0,
             hits: 0,
             lookups: 0,
@@ -61,6 +65,8 @@ impl Cache {
         self.tick += 1;
         self.lookups += 1;
         if let Some((stamp, _)) = self.entries.get_mut(&key) {
+            self.lru.remove(&(*stamp, key));
+            self.lru.insert((self.tick, key));
             *stamp = self.tick;
             self.hits += 1;
             true
@@ -76,11 +82,7 @@ impl Cache {
         }
         if self.entries.len() >= self.capacity {
             let victim = match self.policy {
-                EvictionPolicy::Lru => self
-                    .order
-                    .iter()
-                    .min_by_key(|k| (self.entries[k].0, **k))
-                    .copied(),
+                EvictionPolicy::Lru => self.lru.first().map(|&(_, k)| k),
                 EvictionPolicy::Random => {
                     let idx = self.rng.index(self.order.len());
                     self.order.get(idx).copied()
@@ -93,10 +95,12 @@ impl Cache {
         let pos = self.order.len();
         self.order.push(key);
         self.entries.insert(key, (self.tick, pos));
+        self.lru.insert((self.tick, key));
     }
 
     fn remove(&mut self, key: u64) {
-        if let Some((_, pos)) = self.entries.remove(&key) {
+        if let Some((stamp, pos)) = self.entries.remove(&key) {
+            self.lru.remove(&(stamp, key));
             self.order.swap_remove(pos);
             if let Some(&moved) = self.order.get(pos) {
                 if let Some(entry) = self.entries.get_mut(&moved) {

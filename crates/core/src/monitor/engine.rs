@@ -20,16 +20,15 @@ use crate::monitor::violation::{TriggerKind, Violation, ViolationLog};
 use crate::policy::PolicyRegistry;
 use crate::store::fxhash::FxHashMap;
 use crate::store::FeatureStore;
-use crate::telemetry::{
-    ActionKind, Telemetry, TelemetryDelta, TraceKind, NO_MONITOR, RESERVED_PREFIX,
-};
+use crate::telemetry::{ActionKind, Telemetry, TraceKind, NO_MONITOR, RESERVED_PREFIX};
 use crate::vm::{DeltaState, EvalCtx, Vm};
 
 /// An opaque handle to an installed monitor.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct MonitorId(usize);
 
-/// Aggregate engine statistics.
+/// Aggregate engine statistics: every monitor's counter block summed
+/// (retired monitors included), plus the engine-level carry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Rule-set evaluations performed.
@@ -53,12 +52,18 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Mean measured wall time per rule-set evaluation, in nanoseconds.
-    pub fn mean_eval_ns(&self) -> f64 {
-        if self.evaluations == 0 {
-            0.0
-        } else {
-            self.eval_wall_ns as f64 / self.evaluations as f64
+    /// Applies `op` field by field to these stats and the matching fields
+    /// of a counter block (`retrain_retries` belongs to no block).
+    fn combine(self, c: &OverheadAccount, op: fn(u64, u64) -> u64) -> Self {
+        EngineStats {
+            evaluations: op(self.evaluations, c.evaluations),
+            violations: op(self.violations, c.violations),
+            trips: op(self.trips, c.trips),
+            commands_emitted: op(self.commands_emitted, c.commands_emitted),
+            rule_faults: op(self.rule_faults, c.rule_faults),
+            watchdog_trips: op(self.watchdog_trips, c.watchdog_trips),
+            retrain_retries: self.retrain_retries,
+            eval_wall_ns: op(self.eval_wall_ns, c.wall_ns),
         }
     }
 }
@@ -105,7 +110,8 @@ struct Monitor {
     rule_deltas: Vec<DeltaState>,
     action_deltas: Vec<DeltaState>,
     hysteresis: HysteresisState,
-    overhead: OverheadAccount,
+    /// This monitor's counter block.
+    counts: OverheadAccount,
     enabled: bool,
     /// Uninstalled monitors are tombstoned (their heap entries drain lazily).
     retired: bool,
@@ -115,9 +121,9 @@ struct Monitor {
     watchdog_tripped: bool,
     /// When set, a tripped monitor is re-enabled at this time.
     probation_until: Option<Nanos>,
-    /// Whether every rule program has a fused fast stream (cached at
-    /// install so the telemetry fused-vs-fallback split costs nothing on
-    /// the hot path).
+    /// Whether every rule program has a fused stream (cached at install).
+    /// The VM runs one loop either way; the telemetry's fused/fallback
+    /// split is this monitor's evaluation count, filed by this flag.
     all_fused: bool,
 }
 
@@ -146,21 +152,22 @@ pub struct MonitorEngine {
     violations: ViolationLog,
     vm: Vm,
     now: Nanos,
-    stats: EngineStats,
+    /// Engine-level counts that belong to no monitor block: `RETRAIN`
+    /// retries (and the commands they emit), and the offset `restore`
+    /// sets so that [`MonitorEngine::stats`] reads the checkpointed totals.
+    /// The offset is kept modulo 2⁶⁴ (see `restore`), so it is exact even
+    /// when the blocks already hold more than the checkpoint.
+    carry: EngineStats,
     resilience: ResilienceConfig,
     /// Dynamic per-evaluation rule fuel budget (fault-injection knob; the
     /// verifier's static bound still applies regardless).
     rule_fuel_limit: Option<u64>,
     pending_retrains: Vec<PendingRetrain>,
     /// Optional observability bundle. `None` (the default) keeps the hot
-    /// path exactly as before: one pointer-is-none check per site.
+    /// path exactly as before: one pointer-is-none check per site. Its
+    /// counters mirror the summed counter blocks, copied once at the end
+    /// of every evaluating entry point.
     telemetry: Option<Arc<Telemetry>>,
-    /// Plain-integer counter accumulator, flushed to the attached
-    /// telemetry's atomics at the end of every engine entry point. Bumped
-    /// unconditionally (register adds), so the telemetry-off hot path pays
-    /// nothing measurable and the telemetry-on path avoids per-evaluation
-    /// atomic RMWs.
-    tdelta: TelemetryDelta,
     /// When set, `advance_to` republishes telemetry into the store's
     /// reserved namespace at this cadence (default off: published values
     /// include wall time, which deterministic hosts must opt into).
@@ -199,22 +206,24 @@ impl MonitorEngine {
             violations: ViolationLog::default(),
             vm: Vm::new(),
             now: Nanos::ZERO,
-            stats: EngineStats::default(),
+            carry: EngineStats::default(),
             resilience: ResilienceConfig::default(),
             rule_fuel_limit: None,
             pending_retrains: Vec::new(),
             telemetry: None,
-            tdelta: TelemetryDelta::default(),
             publish_interval: None,
             next_publish: Nanos::ZERO,
         }
     }
 
-    /// Attaches an observability bundle. Counters and trace events are
-    /// recorded from this point on; pass a bundle shared with the durable
-    /// store's host to get WAL metrics in the same registry.
+    /// Attaches an observability bundle. Its engine counters mirror this
+    /// engine's counter blocks (all counts since the engine was created;
+    /// attach one bundle per engine), and trace events are recorded from
+    /// this point on. Pass a bundle shared with the durable store's host to
+    /// get WAL metrics in the same registry.
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
         self.telemetry = Some(telemetry);
+        self.mirror_telemetry();
     }
 
     /// The attached observability bundle, if any.
@@ -318,7 +327,7 @@ impl MonitorEngine {
             rule_deltas,
             action_deltas,
             hysteresis: HysteresisState::new(Hysteresis::default()),
-            overhead: OverheadAccount::new(),
+            counts: OverheadAccount::new(),
             enabled: true,
             retired: false,
             consecutive_faults: 0,
@@ -338,8 +347,9 @@ impl MonitorEngine {
     }
 
     /// Uninstalls a guardrail at runtime (§6: "update guardrails at runtime
-    /// without requiring a kernel reboot"). Its overhead account remains
-    /// available post-mortem; its name becomes reusable immediately.
+    /// without requiring a kernel reboot"). Its counter block remains
+    /// available post-mortem and in every summed view; its name becomes
+    /// reusable immediately.
     pub fn uninstall(&mut self, name: &str) -> Result<()> {
         let idx = self.lookup(name)?;
         self.names.remove(name);
@@ -413,6 +423,7 @@ impl MonitorEngine {
     /// due on the way (in timestamp order) and servicing any backoff-scheduled
     /// `RETRAIN` retries that come due alongside them.
     pub fn advance_to(&mut self, now: Nanos) {
+        let mut evaluated = false;
         while let Some(&Reverse((due, midx, tidx))) = self.timers.peek() {
             if due > now {
                 break;
@@ -424,7 +435,8 @@ impl MonitorEngine {
             }
             self.now = due;
             self.service_retrain_retries(due);
-            self.evaluate(midx, due, &[], TriggerRef::Timer);
+            self.evaluate(midx, due);
+            evaluated = true;
             let timer = self.monitors[midx].compiled.timers[tidx];
             let next = due + timer.interval;
             if next <= timer.stop {
@@ -433,6 +445,9 @@ impl MonitorEngine {
         }
         self.now = self.now.max(now);
         self.service_retrain_retries(self.now);
+        if evaluated {
+            self.mirror_telemetry();
+        }
         if let Some(interval) = self.publish_interval {
             if self.now >= self.next_publish {
                 self.publish_telemetry();
@@ -457,7 +472,7 @@ impl MonitorEngine {
             if p.next_attempt > now {
                 return true;
             }
-            self.stats.retrain_retries += 1;
+            self.carry.retrain_retries += 1;
             if self.limiter.request(&p.model, now).is_ok() {
                 self.outbox.push(
                     now,
@@ -466,7 +481,7 @@ impl MonitorEngine {
                         model: p.model.clone(),
                     },
                 );
-                self.stats.commands_emitted += 1;
+                self.carry.commands_emitted += 1;
                 return false;
             }
             p.attempt += 1;
@@ -519,12 +534,12 @@ impl MonitorEngine {
         let subscribers = std::mem::take(self.hooks.get_mut(hook).expect("checked above"));
         let evals_before: Vec<u64> = subscribers
             .iter()
-            .map(|&m| self.monitors[m].overhead.evaluations)
+            .map(|&m| self.monitors[m].counts.evaluations)
             .collect();
         if let Some(t) = &self.telemetry {
             t.m.batches.inc();
             t.m.batch_events.add(events.len() as u64);
-            t.mark(
+            t.trace.record(
                 self.now,
                 TraceKind::EvalStart,
                 NO_MONITOR,
@@ -539,62 +554,91 @@ impl MonitorEngine {
             }
         }
         let wall_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.stats.eval_wall_ns += wall_ns;
         if let Some(t) = &self.telemetry {
-            t.m.eval_wall_ns.add(wall_ns);
             t.m.eval_wall_hist.observe(wall_ns);
-            t.mark(self.now, TraceKind::EvalEnd, NO_MONITOR, wall_ns as f64);
+            t.trace
+                .record(self.now, TraceKind::EvalEnd, NO_MONITOR, wall_ns as f64);
         }
         let evaluated: u64 = subscribers
             .iter()
             .zip(&evals_before)
-            .map(|(&m, &before)| self.monitors[m].overhead.evaluations - before)
+            .map(|(&m, &before)| self.monitors[m].counts.evaluations - before)
             .sum();
         for (&midx, &before) in subscribers.iter().zip(&evals_before) {
-            let share = self.monitors[midx].overhead.evaluations - before;
+            let share = self.monitors[midx].counts.evaluations - before;
             if let Some(charge) = (wall_ns * share).checked_div(evaluated) {
-                self.monitors[midx].overhead.charge_wall(charge);
+                self.monitors[midx].counts.wall_ns += charge;
             }
         }
         if let Some(list) = self.hooks.get_mut(hook) {
             *list = subscribers;
         }
-        self.flush_telemetry_delta();
+        self.mirror_telemetry();
     }
 
-    /// Flushes the accumulated counter delta into the attached telemetry
-    /// (discarding it when none is attached). Runs at the end of every
-    /// evaluating entry point, so totals are exact at every API boundary.
-    #[inline]
-    fn flush_telemetry_delta(&mut self) {
-        let delta = std::mem::take(&mut self.tdelta);
-        if let Some(t) = &self.telemetry {
-            delta.apply(&t.m);
+    /// Every monitor's counter block summed (retired monitors included).
+    fn totals(&self) -> OverheadAccount {
+        let mut total = OverheadAccount::new();
+        for m in &self.monitors {
+            total.merge(&m.counts);
+        }
+        total
+    }
+
+    /// Copies the summed counter blocks into the attached telemetry's
+    /// engine counters (a no-op without telemetry). Runs once at the end of
+    /// every evaluating entry point and before every publication, so the
+    /// counters are exact at every API boundary while the per-evaluation
+    /// path touches no atomics.
+    fn mirror_telemetry(&self) {
+        let Some(t) = &self.telemetry else {
+            return;
+        };
+        let total = self.totals();
+        let fused: u64 = self
+            .monitors
+            .iter()
+            .filter(|m| m.all_fused)
+            .map(|m| m.counts.evaluations)
+            .sum();
+        let m = &t.m;
+        for (counter, value) in [
+            (&m.evaluations, total.evaluations),
+            (&m.violations, total.violations),
+            (&m.trips, total.trips),
+            (&m.rule_fuel, total.rule_fuel),
+            (&m.action_fuel, total.action_fuel),
+            (&m.fused_evals, fused),
+            (&m.fallback_evals, total.evaluations - fused),
+            (&m.eval_wall_ns, total.wall_ns),
+        ] {
+            counter.set(value);
+        }
+        for (counter, value) in m.actions.iter().zip(total.actions) {
+            counter.set(value);
         }
     }
 
     /// Timer-path evaluation wrapper: measures wall time around one
     /// evaluation (the batch path measures once per batch instead).
-    fn evaluate(&mut self, midx: usize, now: Nanos, args: &[f64], trigger: TriggerRef<'_>) {
-        let evals_before = self.monitors[midx].overhead.evaluations;
+    fn evaluate(&mut self, midx: usize, now: Nanos) {
+        let evals_before = self.monitors[midx].counts.evaluations;
         if let Some(t) = &self.telemetry {
-            t.mark(now, TraceKind::EvalStart, midx as u32, 1.0);
+            t.trace.record(now, TraceKind::EvalStart, midx as u32, 1.0);
         }
         let started = std::time::Instant::now();
-        self.evaluate_inner(midx, now, args, trigger);
+        self.evaluate_inner(midx, now, &[], TriggerRef::Timer);
         let wall_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        if self.monitors[midx].overhead.evaluations > evals_before {
-            self.stats.eval_wall_ns += wall_ns;
-            self.monitors[midx].overhead.charge_wall(wall_ns);
+        if self.monitors[midx].counts.evaluations > evals_before {
+            self.monitors[midx].counts.wall_ns += wall_ns;
             if let Some(t) = &self.telemetry {
-                t.m.eval_wall_ns.add(wall_ns);
                 t.m.eval_wall_hist.observe(wall_ns);
             }
         }
         if let Some(t) = &self.telemetry {
-            t.mark(now, TraceKind::EvalEnd, midx as u32, wall_ns as f64);
+            t.trace
+                .record(now, TraceKind::EvalEnd, midx as u32, wall_ns as f64);
         }
-        self.flush_telemetry_delta();
     }
 
     fn evaluate_inner(&mut self, midx: usize, now: Nanos, args: &[f64], trigger: TriggerRef<'_>) {
@@ -619,13 +663,7 @@ impl MonitorEngine {
             self.reports
                 .info(now, &name, "watchdog probation over, monitor re-enabled");
         }
-        self.stats.evaluations += 1;
-        self.tdelta.evaluations += 1;
-        if self.monitors[midx].all_fused {
-            self.tdelta.fused_evals += 1;
-        } else {
-            self.tdelta.fallback_evals += 1;
-        }
+        self.monitors[midx].counts.evaluations += 1;
         let mut fuel = 0u64;
         let mut failed: Option<usize> = None;
         let mut fault: Option<String> = None;
@@ -671,8 +709,7 @@ impl MonitorEngine {
         }
         // Wall time is charged by the caller (per evaluation on the timer
         // path, per batch on the function path); fuel is charged here.
-        self.monitors[midx].overhead.charge_rules(fuel, 0);
-        self.tdelta.rule_fuel += fuel;
+        self.monitors[midx].counts.rule_fuel += fuel;
 
         if let Some(reason) = fault {
             self.on_rule_fault(midx, now, args, &reason);
@@ -685,10 +722,10 @@ impl MonitorEngine {
             self.monitors[midx].hysteresis.observe(false, now);
             return;
         };
-        self.stats.violations += 1;
-        self.tdelta.violations += 1;
+        self.monitors[midx].counts.violations += 1;
         if let Some(t) = &self.telemetry {
-            t.mark(now, TraceKind::Violation, midx as u32, rule_index as f64);
+            t.trace
+                .record(now, TraceKind::Violation, midx as u32, rule_index as f64);
         }
         let fire = self.monitors[midx].hysteresis.observe(true, now);
         let (name, rule_source) = {
@@ -704,8 +741,7 @@ impl MonitorEngine {
             actions_fired: fire,
         });
         if fire {
-            self.stats.trips += 1;
-            self.tdelta.trips += 1;
+            self.monitors[midx].counts.trips += 1;
             self.dispatch_actions(midx, now, args);
         }
     }
@@ -715,7 +751,7 @@ impl MonitorEngine {
     /// that keeps faulting instead of leaving it silently wedged. Fail-closed
     /// watchdogs dispatch the monitor's actions once on the way down.
     fn on_rule_fault(&mut self, midx: usize, now: Nanos, args: &[f64], reason: &str) {
-        self.stats.rule_faults += 1;
+        self.monitors[midx].counts.rule_faults += 1;
         self.monitors[midx].consecutive_faults += 1;
         let name = self.monitors[midx].compiled.name.clone();
         self.reports
@@ -730,7 +766,7 @@ impl MonitorEngine {
         m.enabled = false;
         m.watchdog_tripped = true;
         m.probation_until = watchdog.probation.map(|p| now + p);
-        self.stats.watchdog_trips += 1;
+        m.counts.watchdog_trips += 1;
         self.reports.report(
             now,
             &name,
@@ -835,7 +871,7 @@ impl MonitorEngine {
                                 model: model.clone(),
                             },
                         );
-                        self.stats.commands_emitted += 1;
+                        self.monitors[midx].counts.commands_emitted += 1;
                     } else if let Some(retry) = self.resilience.retrain_retry {
                         // Rejected: schedule a backoff retry instead of
                         // dropping the request, unless one is already queued
@@ -893,7 +929,7 @@ impl MonitorEngine {
                             steps: steps_value,
                         },
                     );
-                    self.stats.commands_emitted += 1;
+                    self.monitors[midx].counts.commands_emitted += 1;
                 }
                 CompiledAction::Save { key, value } => {
                     match Self::eval_operand(
@@ -944,11 +980,12 @@ impl MonitorEngine {
                     }
                 }
             }
-            self.monitors[midx].overhead.charge_action(fuel);
-            self.tdelta.actions[kind as usize] += 1;
-            self.tdelta.action_fuel += fuel;
+            let counts = &mut self.monitors[midx].counts;
+            counts.actions[kind as usize] += 1;
+            counts.action_fuel += fuel;
             if let Some(t) = &self.telemetry {
-                t.mark(now, TraceKind::Action, midx as u32, kind as usize as f64);
+                t.trace
+                    .record(now, TraceKind::Action, midx as u32, kind as usize as f64);
             }
         }
     }
@@ -979,13 +1016,15 @@ impl MonitorEngine {
         &self.violations
     }
 
-    /// Aggregate engine statistics.
+    /// Aggregate engine statistics: the summed counter blocks plus the
+    /// engine-level carry.
     pub fn stats(&self) -> EngineStats {
-        self.stats
+        self.carry.combine(&self.totals(), u64::wrapping_add)
     }
 
     /// Publishes the attached telemetry into the feature store's reserved
-    /// `__telemetry/` namespace: every registry metric (see
+    /// `__telemetry/` namespace, after copying the summed counter blocks
+    /// into its engine counters: every registry metric (see
     /// [`Telemetry::publish_registry`]), the store's own write counters,
     /// and per-guardrail P5 accounts under
     /// `__telemetry/guardrail/<name>/{evaluations,rule_fuel,action_fuel,
@@ -997,6 +1036,7 @@ impl MonitorEngine {
         let Some(t) = &self.telemetry else {
             return;
         };
+        self.mirror_telemetry();
         t.observe_store(&self.store);
         t.publish_registry(&self.store);
         let now_ns = self.now.as_nanos();
@@ -1005,7 +1045,7 @@ impl MonitorEngine {
                 continue;
             }
             let base = format!("{RESERVED_PREFIX}guardrail/{}", m.compiled.name);
-            let o = &m.overhead;
+            let o = &m.counts;
             let modeled_ns = o.modeled().as_nanos();
             let fraction = if now_ns == 0 {
                 0.0
@@ -1025,20 +1065,20 @@ impl MonitorEngine {
         }
     }
 
-    /// Per-monitor overhead accounts (P5).
+    /// Per-monitor counter blocks (P5), retired monitors included.
     pub fn overhead_reports(&self) -> Vec<OverheadReport> {
         self.monitors
             .iter()
             .map(|m| OverheadReport {
                 guardrail: m.compiled.name.clone(),
-                account: m.overhead,
+                account: m.counts,
             })
             .collect()
     }
 
     /// Total modelled monitoring time across all monitors.
     pub fn total_modeled_overhead(&self) -> Nanos {
-        self.monitors.iter().map(|m| m.overhead.modeled()).sum()
+        self.totals().modeled()
     }
 
     /// Violations suppressed by hysteresis for `name`.
@@ -1055,11 +1095,12 @@ impl MonitorEngine {
     pub fn checkpoint(&self) -> EngineCheckpoint {
         if let Some(t) = &self.telemetry {
             t.m.checkpoints.inc();
-            t.mark(self.now, TraceKind::Checkpoint, NO_MONITOR, 0.0);
+            t.trace
+                .record(self.now, TraceKind::Checkpoint, NO_MONITOR, 0.0);
         }
         EngineCheckpoint {
             now: self.now,
-            stats: self.stats,
+            stats: self.stats(),
             slots: self.registry.active_variants(),
             monitors: self
                 .monitors
@@ -1106,11 +1147,15 @@ impl MonitorEngine {
             m.hysteresis = HysteresisState::from_snapshot(&mc.hysteresis);
         }
         self.now = self.now.max(checkpoint.now);
-        self.stats = checkpoint.stats;
+        // The checkpointed totals replace whatever this engine had counted:
+        // `stats()` adds the blocks back, so the carry holds the difference
+        // (modulo 2⁶⁴ when the blocks already exceed the checkpoint).
+        self.carry = checkpoint.stats.combine(&self.totals(), u64::wrapping_sub);
         self.fast_forward_timers();
         if let Some(t) = &self.telemetry {
             t.m.restores.inc();
-            t.mark(self.now, TraceKind::Restart, NO_MONITOR, 0.0);
+            t.trace
+                .record(self.now, TraceKind::Restart, NO_MONITOR, 0.0);
         }
         Ok(())
     }

@@ -3,7 +3,8 @@
 //! One of the paper's motivating complaints about prior work is that it
 //! provides "no way for practitioners to assess if inference overhead is
 //! justified and to bound performance impact" (§1). The engine therefore
-//! charges every rule evaluation and action dispatch to an account, in both
+//! counts every rule evaluation, violation and action dispatch in the
+//! monitor's counter block ([`OverheadAccount`]), with cost in both
 //! *modelled* nanoseconds (fuel × a per-unit cost, deterministic and usable
 //! inside the simulation) and *measured* wall nanoseconds (for the Criterion
 //! benches).
@@ -16,17 +17,34 @@ use simkernel::Nanos;
 /// right order of magnitude for an eBPF-style monitor on modern hardware.
 pub const NS_PER_FUEL: u64 = 2;
 
-/// The overhead account of one monitor.
-#[derive(Clone, Copy, Debug, Default)]
+/// The counter block of one monitor: the only place the engine counts.
+///
+/// Every evaluation, violation, trip, fault, command and action firing
+/// bumps exactly one block. [`EngineStats`](super::EngineStats), the
+/// [`OverheadReport`]s, the attached telemetry's counters and the
+/// `__telemetry/` keys are all read from these blocks, so they cannot
+/// drift apart.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OverheadAccount {
-    /// Rule evaluations performed.
+    /// Rule-set evaluations performed.
     pub evaluations: u64,
+    /// Violations detected (a rule evaluated false).
+    pub violations: u64,
+    /// Violations whose actions fired (post-hysteresis).
+    pub trips: u64,
+    /// Rule evaluations aborted by a fault (fuel exhaustion or panic).
+    pub rule_faults: u64,
+    /// Times the watchdog disabled this monitor.
+    pub watchdog_trips: u64,
+    /// Deferred commands emitted to the outbox.
+    pub commands_emitted: u64,
     /// Total fuel consumed by rule evaluations.
     pub rule_fuel: u64,
     /// Total fuel consumed by action operand programs.
     pub action_fuel: u64,
-    /// Actions dispatched.
-    pub actions_dispatched: u64,
+    /// Action firings by kind, indexed by
+    /// [`ActionKind`](crate::telemetry::ActionKind).
+    pub actions: [u64; 6],
     /// Measured wall time spent evaluating, in nanoseconds.
     pub wall_ns: u64,
 }
@@ -35,35 +53,6 @@ impl OverheadAccount {
     /// Creates an empty account.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Charges one rule evaluation.
-    pub fn charge_rules(&mut self, fuel: u64, wall_ns: u64) {
-        self.evaluations += 1;
-        self.rule_fuel += fuel;
-        self.wall_ns += wall_ns;
-    }
-
-    /// Charges measured wall time without counting an evaluation (the
-    /// engine's batch ingestion path reads the clock once per batch and
-    /// apportions the elapsed time afterwards).
-    pub fn charge_wall(&mut self, wall_ns: u64) {
-        self.wall_ns += wall_ns;
-    }
-
-    /// Mean measured wall time per evaluation, in nanoseconds.
-    pub fn mean_eval_ns(&self) -> f64 {
-        if self.evaluations == 0 {
-            0.0
-        } else {
-            self.wall_ns as f64 / self.evaluations as f64
-        }
-    }
-
-    /// Charges one action dispatch.
-    pub fn charge_action(&mut self, fuel: u64) {
-        self.actions_dispatched += 1;
-        self.action_fuel += fuel;
     }
 
     /// Total fuel (rules + actions).
@@ -85,12 +74,20 @@ impl OverheadAccount {
         }
     }
 
-    /// Merges another account into this one.
+    /// Adds another block's counts into this one (the engine sums its
+    /// monitors' blocks this way for the engine-wide views).
     pub fn merge(&mut self, other: &OverheadAccount) {
         self.evaluations += other.evaluations;
+        self.violations += other.violations;
+        self.trips += other.trips;
+        self.rule_faults += other.rule_faults;
+        self.watchdog_trips += other.watchdog_trips;
+        self.commands_emitted += other.commands_emitted;
         self.rule_fuel += other.rule_fuel;
         self.action_fuel += other.action_fuel;
-        self.actions_dispatched += other.actions_dispatched;
+        for (sum, n) in self.actions.iter_mut().zip(other.actions) {
+            *sum += n;
+        }
         self.wall_ns += other.wall_ns;
     }
 }
@@ -104,33 +101,19 @@ pub struct OverheadReport {
     pub account: OverheadAccount,
 }
 
-impl OverheadReport {
-    /// Fraction of a given busy interval consumed by modelled monitoring
-    /// time. This is the number a P5 guardrail compares against its bound.
-    pub fn fraction_of(&self, interval: Nanos) -> f64 {
-        if interval == Nanos::ZERO {
-            return 0.0;
-        }
-        self.account.modeled().as_nanos() as f64 / interval.as_nanos() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn charges_accumulate() {
-        let mut a = OverheadAccount::new();
-        a.charge_rules(10, 100);
-        a.charge_rules(6, 50);
-        a.charge_action(4);
-        assert_eq!(a.evaluations, 2);
-        assert_eq!(a.rule_fuel, 16);
-        assert_eq!(a.action_fuel, 4);
+    fn modeled_cost_follows_fuel() {
+        let a = OverheadAccount {
+            evaluations: 2,
+            rule_fuel: 16,
+            action_fuel: 4,
+            ..OverheadAccount::new()
+        };
         assert_eq!(a.total_fuel(), 20);
-        assert_eq!(a.actions_dispatched, 1);
-        assert_eq!(a.wall_ns, 150);
         assert_eq!(a.modeled(), Nanos::from_nanos(20 * NS_PER_FUEL));
         assert_eq!(a.modeled_per_evaluation(), Nanos::from_nanos(20));
     }
@@ -144,26 +127,39 @@ mod tests {
 
     #[test]
     fn merge_sums_fields() {
-        let mut a = OverheadAccount::new();
-        a.charge_rules(10, 5);
-        let mut b = OverheadAccount::new();
-        b.charge_rules(20, 7);
-        b.charge_action(3);
+        let mut a = OverheadAccount {
+            evaluations: 1,
+            rule_fuel: 10,
+            wall_ns: 5,
+            ..OverheadAccount::new()
+        };
+        let mut b = OverheadAccount {
+            evaluations: 1,
+            violations: 1,
+            trips: 1,
+            rule_faults: 2,
+            watchdog_trips: 1,
+            commands_emitted: 3,
+            rule_fuel: 20,
+            action_fuel: 3,
+            wall_ns: 7,
+            ..OverheadAccount::new()
+        };
+        b.actions[4] = 2;
         a.merge(&b);
         assert_eq!(a.evaluations, 2);
         assert_eq!(a.total_fuel(), 33);
         assert_eq!(a.wall_ns, 12);
-    }
-
-    #[test]
-    fn fraction_of_interval() {
-        let mut account = OverheadAccount::new();
-        account.charge_rules(500, 0); // Modelled 1000ns.
-        let report = OverheadReport {
-            guardrail: "g".into(),
-            account,
-        };
-        assert!((report.fraction_of(Nanos::from_micros(100)) - 0.01).abs() < 1e-12);
-        assert_eq!(report.fraction_of(Nanos::ZERO), 0.0);
+        assert_eq!(
+            (
+                a.violations,
+                a.trips,
+                a.rule_faults,
+                a.watchdog_trips,
+                a.commands_emitted
+            ),
+            (1, 1, 2, 1, 3)
+        );
+        assert_eq!(a.actions, [0, 0, 0, 0, 2, 0]);
     }
 }

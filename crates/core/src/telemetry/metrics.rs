@@ -34,6 +34,13 @@ impl Counter {
         self.add(1);
     }
 
+    /// Sets the counter to a total kept elsewhere (the engine mirrors its
+    /// per-monitor counter blocks this way).
+    #[inline]
+    pub fn set(&self, n: u64) {
+        self.0.store(n, Ordering::Relaxed);
+    }
+
     /// The current total.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)

@@ -6,11 +6,10 @@
 //! time goes. This module closes that gap with three pieces:
 //!
 //! 1. **A metrics registry** ([`MetricsRegistry`]) of counters, gauges, and
-//!    fixed log-scale-bucket histograms. The engine, VM dispatch, feature
-//!    store, and WAL all record into pre-registered handles
-//!    ([`EngineMetrics`]): per-guardrail eval wall time, fuel burned,
-//!    fused-vs-fallback dispatch counts, store shard contention, WAL
-//!    bytes/flushes/group sizes, and action firings by kind.
+//!    fixed log-scale-bucket histograms, with pre-registered handles
+//!    ([`EngineMetrics`]): evaluations, violations, trips, fuel burned,
+//!    fused/fallback evaluation counts, action firings by kind, eval wall
+//!    time, store shard contention, and WAL bytes/flushes/group sizes.
 //! 2. **A trace ring** ([`TraceRing`]): a lock-free, bounded,
 //!    overwrite-oldest ring of spans and events (eval start/end, violation,
 //!    action, checkpoint, restart) with text and JSON exporters.
@@ -27,20 +26,21 @@
 //! [`crate::store::durable`]).
 //!
 //! Everything on the hot path is allocation-free — and the per-evaluation
-//! path is *atomic-free*: the engine accumulates evaluation counts, fuel,
-//! and action firings in a plain-integer [`TelemetryDelta`] and flushes it
-//! to the shared atomic counters once per entry point (once per batch, not
-//! once per event), so attaching telemetry costs a few register adds per
-//! evaluation. Histogram observes are a shift plus two adds, and trace
-//! records (rare events only: violations, actions, checkpoints) are five
-//! atomic stores into a pre-sized ring.
+//! path is *atomic-free*. The engine counts each event once, in the
+//! evaluating monitor's plain-integer counter block
+//! ([`crate::monitor::OverheadAccount`]); its engine counters here are a
+//! mirror of those blocks summed, which the engine copies in once at the
+//! end of every evaluating entry point (once per batch or per
+//! `advance_to` that ran a timer, not once per event) and before every
+//! publication. So attaching telemetry adds no per-evaluation work beyond
+//! the wall-time histogram and trace records. Histogram observes are a
+//! shift plus two adds, and trace records (rare events only: violations,
+//! actions, checkpoints) are five atomic stores into a pre-sized ring.
 
 pub mod metrics;
 pub mod trace;
 
 use std::sync::Arc;
-
-use simkernel::Nanos;
 
 pub use metrics::{Counter, Gauge, LogHistogram, MetricValue, MetricsRegistry, HIST_BUCKETS};
 pub use trace::{TraceEvent, TraceKind, TraceRing, NO_MONITOR};
@@ -102,8 +102,9 @@ impl ActionKind {
 /// Pre-registered metric handles for the engine and its collaborators.
 ///
 /// Handles are `Arc`s shared with the owning [`MetricsRegistry`], so the
-/// hot path records with one relaxed atomic op and the registry still sees
-/// every metric at export time.
+/// registry sees every metric at export time. The engine counters
+/// (evaluations through actions) mirror the engine's summed per-monitor
+/// counter blocks; the engine sets them, nothing else should.
 #[derive(Debug)]
 pub struct EngineMetrics {
     /// Rule-set evaluations performed.
@@ -116,9 +117,10 @@ pub struct EngineMetrics {
     pub rule_fuel: Arc<Counter>,
     /// Fuel burned by action operand programs.
     pub action_fuel: Arc<Counter>,
-    /// Evaluations dispatched through fused superinstruction programs.
+    /// Evaluations of monitors whose every rule has a fused stream.
     pub fused_evals: Arc<Counter>,
-    /// Evaluations dispatched through the base (fallback) opcode loop.
+    /// Evaluations of monitors with a rule that has no fused stream (the
+    /// VM runs its plain ops through the same loop).
     pub fallback_evals: Arc<Counter>,
     /// Batches ingested via `on_function_batch`.
     pub batches: Arc<Counter>,
@@ -179,61 +181,6 @@ impl EngineMetrics {
     }
 }
 
-/// Plain-integer accumulator for the per-evaluation hot path.
-///
-/// Shared atomic counters cost a lock-prefixed RMW per update — measurably
-/// slow when charged per evaluation (hundreds of thousands per second).
-/// The engine instead bumps these plain fields during an ingestion batch
-/// (or a single timer evaluation) and flushes the whole delta with
-/// [`TelemetryDelta::apply`] at the end of the entry point, which keeps
-/// counter totals exact at every API boundary while making the per-event
-/// cost a handful of register adds.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TelemetryDelta {
-    /// Rule-set evaluations performed.
-    pub evaluations: u64,
-    /// Evaluations dispatched through fused programs.
-    pub fused_evals: u64,
-    /// Evaluations dispatched through the base opcode loop.
-    pub fallback_evals: u64,
-    /// Fuel burned by rule programs.
-    pub rule_fuel: u64,
-    /// Violations detected.
-    pub violations: u64,
-    /// Post-hysteresis trips.
-    pub trips: u64,
-    /// Fuel burned by action operand programs.
-    pub action_fuel: u64,
-    /// Action firings by kind, indexed by [`ActionKind`].
-    pub actions: [u64; 6],
-}
-
-impl TelemetryDelta {
-    /// Adds the accumulated counts to the shared counters. Zero fields are
-    /// skipped so a quiet flush (the common timer-path case) costs a few
-    /// compare-and-branches, not a cache-line bounce per metric.
-    pub fn apply(&self, m: &EngineMetrics) {
-        for (count, counter) in [
-            (self.evaluations, &m.evaluations),
-            (self.fused_evals, &m.fused_evals),
-            (self.fallback_evals, &m.fallback_evals),
-            (self.rule_fuel, &m.rule_fuel),
-            (self.violations, &m.violations),
-            (self.trips, &m.trips),
-            (self.action_fuel, &m.action_fuel),
-        ] {
-            if count != 0 {
-                counter.add(count);
-            }
-        }
-        for (count, counter) in self.actions.iter().zip(&m.actions) {
-            if *count != 0 {
-                counter.add(*count);
-            }
-        }
-    }
-}
-
 /// A deterministic summary of the telemetry counters.
 ///
 /// Wall-clock fields are deliberately absent: two observationally identical
@@ -252,9 +199,9 @@ pub struct TelemetrySnapshot {
     pub rule_fuel: u64,
     /// Fuel burned by action operands.
     pub action_fuel: u64,
-    /// Fused-program evaluations.
+    /// Evaluations of all-fused monitors.
     pub fused_evals: u64,
-    /// Base-loop evaluations.
+    /// Evaluations of the other monitors.
     pub fallback_evals: u64,
     /// Action firings by kind, indexed by [`ActionKind`].
     pub actions: [u64; 6],
@@ -388,19 +335,12 @@ impl Telemetry {
         self.m.wal_flushes.set(durable.wal_frames_appended() as f64);
         self.m.wal_group_hist.copy_from(durable.wal_group_hist());
     }
-
-    /// Convenience wrapper: records a trace event only when tracing has
-    /// capacity (it always does; this is the single record entry point the
-    /// engine uses so future sampling policies have one seam).
-    #[inline]
-    pub fn mark(&self, at: Nanos, kind: TraceKind, monitor: u32, value: f64) {
-        self.trace.record(at, kind, monitor, value);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkernel::Nanos;
 
     #[test]
     fn reserved_prefix_detection() {
@@ -436,8 +376,8 @@ mod tests {
         t.m.evaluations.add(3);
         t.m.eval_wall_ns.add(12345); // Wall noise: not in the snapshot.
         t.m.actions[ActionKind::Report as usize].inc();
-        t.mark(Nanos::ZERO, TraceKind::EvalStart, 0, 0.0);
-        t.mark(Nanos::ZERO, TraceKind::Violation, 0, 0.0);
+        t.trace.record(Nanos::ZERO, TraceKind::EvalStart, 0, 0.0);
+        t.trace.record(Nanos::ZERO, TraceKind::Violation, 0, 0.0);
         let snap = t.snapshot();
         assert_eq!(snap.evaluations, 3);
         assert_eq!(snap.actions[0], 1);
@@ -446,8 +386,8 @@ mod tests {
         t2.m.evaluations.add(3);
         t2.m.eval_wall_ns.add(99999);
         t2.m.actions[ActionKind::Report as usize].inc();
-        t2.mark(Nanos::ZERO, TraceKind::EvalStart, 0, 0.0);
-        t2.mark(Nanos::ZERO, TraceKind::Violation, 0, 0.0);
+        t2.trace.record(Nanos::ZERO, TraceKind::EvalStart, 0, 0.0);
+        t2.trace.record(Nanos::ZERO, TraceKind::Violation, 0, 0.0);
         assert_eq!(snap, t2.snapshot(), "wall time never enters the snapshot");
     }
 

@@ -142,32 +142,43 @@ impl Vm {
         fuel_limit: Option<u64>,
     ) -> Result<EvalResult, VmFault> {
         if program.fused.is_empty() {
-            self.exec_base(program, ctx, fuel_limit)
+            self.exec_stream(
+                program,
+                &program.ops,
+                |&op| FusedOp::Plain(op),
+                ctx,
+                fuel_limit,
+            )
         } else {
-            self.exec_fused(program, ctx, fuel_limit)
+            self.exec_stream(program, &program.fused, |&fop| fop, ctx, fuel_limit)
         }
     }
 
-    /// The fused fast loop: superinstructions keep their operands in the
-    /// instruction and their intermediates in locals (register style), so
-    /// the dominant `LOAD(k) <= c` rule shape is one dispatch and one stack
-    /// push instead of three dispatches and four stack moves. Anything not
-    /// fused executes through the same stack machinery as
-    /// [`Vm::exec_base`] via [`FusedOp::Plain`]. Each fused instruction
+    /// The interpreter loop, generic over how an instruction is fetched: a
+    /// program with a fused stream runs it directly, and one without runs
+    /// `ops` with every op fetched as [`FusedOp::Plain`] (each fetch
+    /// monomorphizes to its own loop, so the plain stream pays no extra
+    /// dispatch). Superinstructions keep their operands in the instruction
+    /// and their intermediates in locals (register style), so the dominant
+    /// `LOAD(k) <= c` rule shape is one dispatch and one stack push instead
+    /// of three dispatches and four stack moves; everything else runs
+    /// through the stack machinery in [`Vm::step`]. Each fused instruction
     /// charges the summed fuel of its constituents, so fuel totals — and
-    /// fuel-limit faulting — match the base stream exactly.
-    fn exec_fused(
+    /// fuel-limit faulting — are the same for either stream.
+    #[inline(always)]
+    fn exec_stream<T>(
         &mut self,
         program: &Program,
+        stream: &[T],
+        fetch: impl Fn(&T) -> FusedOp,
         ctx: &mut EvalCtx<'_>,
         fuel_limit: Option<u64>,
     ) -> Result<EvalResult, VmFault> {
         self.stack.clear();
         let mut fuel = 0u64;
         let mut pc = 0usize;
-        let fused = &program.fused;
-        while pc < fused.len() {
-            let fop = fused[pc];
+        while pc < stream.len() {
+            let fop = fetch(&stream[pc]);
             fuel += fop.cost();
             if let Some(limit) = fuel_limit {
                 if fuel > limit {
@@ -202,36 +213,10 @@ impl Vm {
         Ok(EvalResult { value, fuel })
     }
 
-    fn exec_base(
-        &mut self,
-        program: &Program,
-        ctx: &mut EvalCtx<'_>,
-        fuel_limit: Option<u64>,
-    ) -> Result<EvalResult, VmFault> {
-        self.stack.clear();
-        let mut fuel = 0u64;
-        let mut pc = 0usize;
-        let ops = &program.ops;
-        while pc < ops.len() {
-            let op = ops[pc];
-            fuel += op.cost();
-            if let Some(limit) = fuel_limit {
-                if fuel > limit {
-                    return Err(VmFault::FuelExhausted { used: fuel, limit });
-                }
-            }
-            let mut next = pc + 1;
-            self.step(op, program, ctx, &mut next);
-            pc = next;
-        }
-        let value = self.stack.pop().unwrap_or(0.0);
-        Ok(EvalResult { value, fuel })
-    }
-
     /// Executes one base op against the stack. `next` arrives as the
     /// fall-through successor index and is overwritten by taken jumps; in
     /// the fused stream, jump operands were rewritten to fused indices at
-    /// fusion time, so the same step function serves both loops.
+    /// fusion time, so the same step serves either stream.
     fn step(&mut self, op: Op, program: &Program, ctx: &mut EvalCtx<'_>, next: &mut usize) {
         match op {
             Op::Push(v) => self.stack.push(v),
