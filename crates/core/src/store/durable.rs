@@ -12,7 +12,8 @@
 //! - [`DurableStore::compact`] folds the scalar state into a snapshot and
 //!   truncates the WAL; a crash between the two steps is harmless because
 //!   frames carry sequence numbers and replay skips those the snapshot
-//!   already covers;
+//!   already covers, and appends wait while the WAL is rewritten, so a
+//!   concurrent write is never erased;
 //! - [`DurableStore::open`] replays snapshot + WAL suffix idempotently and
 //!   **quarantine-aware**: non-finite replayed values go through the same
 //!   quarantine as live writes, so a poisoned log cannot re-poison a
@@ -21,8 +22,13 @@
 //! Backends: [`MemBackend`] is the deterministic in-memory medium the crash
 //! experiments mutate directly (torn tails, snapshot bit flips);
 //! [`FileBackend`] persists to three files in a directory for real
-//! deployments.
+//! deployments. It holds `wal.bin` open between appends (one unbuffered
+//! `write` per frame, reopened after every `replace`) and never syncs, so
+//! its durability is the OS page cache's. One `FileBackend` owns its
+//! directory at a time.
 
+use std::fs::{File, OpenOptions};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -142,12 +148,22 @@ impl PersistBackend for MemBackend {
 /// in one directory. `replace` writes a temporary file and renames it over
 /// the target so a crash mid-replace leaves either the old or the new blob,
 /// never a mix.
+///
+/// `append` keeps the region's file open (in append mode) after the first
+/// call, so a record costs one `write`. `replace` drops the held handle,
+/// and the next append opens the renamed-in file. Appends are unbuffered:
+/// each frame is in the OS before `append` returns, so `load` sees it. They
+/// are not synced, so a machine crash can still lose the page cache.
+///
+/// One `FileBackend` owns its directory at a time: another live backend's
+/// `rename` would leave this one appending to an unlinked file.
 #[derive(Debug)]
 pub struct FileBackend {
     dir: PathBuf,
-    /// Serializes appends; the OS guarantees little about concurrent
-    /// appends from one process without it.
-    append_lock: Mutex<()>,
+    /// The open append handle of each region, indexed by `Region as usize`.
+    /// The lock also serializes appends and replaces; the OS guarantees
+    /// little about concurrent appends from one process without it.
+    handles: Mutex<[Option<File>; 3]>,
 }
 
 impl FileBackend {
@@ -158,7 +174,7 @@ impl FileBackend {
             .map_err(|e| GuardrailError::Persist(format!("create {}: {e}", dir.display())))?;
         Ok(FileBackend {
             dir,
-            append_lock: Mutex::new(()),
+            handles: Mutex::new([None, None, None]),
         })
     }
 
@@ -185,20 +201,33 @@ impl PersistBackend for FileBackend {
     }
 
     fn append(&self, region: Region, bytes: &[u8]) -> Result<()> {
-        use std::io::Write;
-        let _guard = self.append_lock.lock();
-        let path = self.path(region);
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| GuardrailError::Persist(format!("open {}: {e}", path.display())))?;
-        file.write_all(bytes)
-            .map_err(|e| GuardrailError::Persist(format!("append {}: {e}", path.display())))
+        let mut handles = self.handles.lock();
+        let slot = &mut handles[region as usize];
+        let file = match slot {
+            Some(file) => file,
+            None => {
+                let path = self.path(region);
+                let file = OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(&path)
+                    .map_err(|e| {
+                        GuardrailError::Persist(format!("open {}: {e}", path.display()))
+                    })?;
+                slot.insert(file)
+            }
+        };
+        file.write_all(bytes).map_err(|e| {
+            // Never reuse a handle that failed; the next append reopens.
+            *slot = None;
+            GuardrailError::Persist(format!("append {}: {e}", self.path(region).display()))
+        })
     }
 
     fn replace(&self, region: Region, bytes: &[u8]) -> Result<()> {
-        let _guard = self.append_lock.lock();
+        let mut handles = self.handles.lock();
+        // The held handle names the inode the rename below unlinks.
+        handles[region as usize] = None;
         let path = self.path(region);
         let tmp = path.with_extension("tmp");
         std::fs::write(&tmp, bytes)
@@ -290,6 +319,11 @@ struct WalAppender {
     /// Records buffered for the next group frame (empty when
     /// `group_commit == 1`).
     pending: Mutex<Vec<WalRecord>>,
+    /// Excludes WAL appends while [`DurableStore::compact`] rewrites the
+    /// log, so a frame appended between its `load` and its `replace`
+    /// cannot be erased. Lock order: shard lock → `pending` → this lock →
+    /// the backend's own locks.
+    wal_lock: Mutex<()>,
     /// Frame bytes appended to the backend since open (always counted; one
     /// relaxed add per append, which is already a backend call).
     bytes_appended: AtomicU64,
@@ -308,6 +342,7 @@ impl WalAppender {
             .fetch_add(frame.len() as u64, Ordering::Relaxed);
         self.frames_appended.fetch_add(1, Ordering::Relaxed);
         self.group_hist.observe(records);
+        let _wal = self.wal_lock.lock();
         if self.backend.append(Region::Wal, frame).is_err() {
             self.append_failed.store(true, Ordering::Relaxed);
         }
@@ -441,6 +476,7 @@ impl DurableStore {
             append_failed: AtomicBool::new(false),
             group_commit: config.group_commit.max(1),
             pending: Mutex::new(Vec::new()),
+            wal_lock: Mutex::new(()),
             bytes_appended: AtomicU64::new(0),
             frames_appended: AtomicU64::new(0),
             group_hist: LogHistogram::new(),
@@ -517,12 +553,16 @@ impl DurableStore {
         let seq = self.seq();
         // Reserved telemetry keys are process-lifetime observations; they
         // never enter the WAL and must not enter snapshots either.
+        // `scalars` takes the shard locks, so it runs before `wal_lock`:
+        // a writer holds its shard lock while it waits for `wal_lock`.
         let mut entries = self.store.scalars();
         entries.retain(|(key, _)| !is_reserved(key));
         let snapshot = Snapshot { seq, entries };
         self.backend.replace(Region::Snapshot, &snapshot.encode())?;
         // Records appended after `seq` was read must survive the truncate:
-        // rewrite the WAL keeping only frames with seq > snapshot seq.
+        // rewrite the WAL keeping only frames with seq > snapshot seq, with
+        // appends held off from the read to the rewrite.
+        let _wal = self.appender.wal_lock.lock();
         let wal_bytes = self.backend.load(Region::Wal)?;
         let decoded = decode_stream(&wal_bytes);
         let mut keep = Vec::new();
@@ -889,12 +929,33 @@ mod tests {
         assert_eq!(durable.load_checkpoint().unwrap(), b"blob");
     }
 
+    /// A directory of its own for one file-backed test, removed on drop,
+    /// so file tests running in parallel never share a WAL.
+    struct TestDir(PathBuf);
+
+    impl TestDir {
+        fn new(test: &str) -> Self {
+            let dir = std::env::temp_dir()
+                .join(format!("guardrails-durable-{test}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            TestDir(dir)
+        }
+
+        fn backend(&self) -> Arc<dyn PersistBackend> {
+            Arc::new(FileBackend::open(&self.0).unwrap())
+        }
+    }
+
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     #[test]
     fn file_backend_round_trips() {
-        let dir =
-            std::env::temp_dir().join(format!("guardrails-durable-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let backend: Arc<dyn PersistBackend> = Arc::new(FileBackend::open(&dir).unwrap());
+        let dir = TestDir::new("round-trip");
+        let backend = dir.backend();
         {
             let (durable, _) =
                 DurableStore::open(Arc::clone(&backend), DurabilityConfig::default()).unwrap();
@@ -908,8 +969,183 @@ mod tests {
         assert_eq!(report.snapshot_entries, 1);
         assert_eq!(durable.store().load("k"), Some(8.0));
         assert_eq!(durable.load_checkpoint().unwrap(), b"cp");
-        drop(durable);
-        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn file_backend_appends_follow_the_torn_tail_repair() {
+        let dir = TestDir::new("torn-tail");
+        // One backend throughout, so its held `wal.bin` handle predates the
+        // repair's rename.
+        let backend = dir.backend();
+        let open = || DurableStore::open(Arc::clone(&backend), DurabilityConfig::default());
+        {
+            let (durable, _) = open().unwrap();
+            durable.store().save("a", 1.0);
+            durable.store().save("b", 2.0);
+        }
+        // A crash tore the next append: half a frame sits at the tail.
+        let torn = encode_frame(&WalRecord {
+            seq: 3,
+            key: "lost".to_string(),
+            value: 9.0,
+        });
+        let mut wal = OpenOptions::new()
+            .append(true)
+            .open(dir.0.join("wal.bin"))
+            .unwrap();
+        wal.write_all(&torn[..torn.len() / 2]).unwrap();
+        drop(wal);
+        {
+            let (durable, report) = open().unwrap();
+            assert!(report.torn_tail_bytes > 0, "this open finds the tear");
+            assert!(!report.tainted(), "a torn tail is expected crash damage");
+            durable.store().save("c", 3.0);
+            durable.store().save("d", 4.0);
+        }
+        let (durable, report) = open().unwrap();
+        assert_eq!(report.torn_tail_bytes, 0, "repaired by the previous open");
+        assert!(!report.tainted());
+        let store = durable.store();
+        for (key, value) in [("a", 1.0), ("b", 2.0), ("c", 3.0), ("d", 4.0)] {
+            assert_eq!(store.load(key), Some(value), "{key}");
+        }
+        assert_eq!(store.load("lost"), None, "the torn record never committed");
+    }
+
+    #[test]
+    fn file_backend_survives_a_crash_loop() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeMap;
+
+        let dir = TestDir::new("crash-loop");
+        let mut rng = SmallRng::seed_from_u64(20);
+        let mut shadow: BTreeMap<String, f64> = BTreeMap::new();
+        let mut checkpoint = Vec::new();
+        let mut backend = dir.backend();
+        for cycle in 0..20u32 {
+            // Most cycles reuse the backend (and its held handle) across
+            // the restart; some restart the backend too.
+            if cycle % 4 == 3 {
+                backend = dir.backend();
+            }
+            let config = DurabilityConfig {
+                snapshot_every: 16,
+                group_commit: if cycle % 2 == 0 { 1 } else { 3 },
+            };
+            let (durable, report) = DurableStore::open(Arc::clone(&backend), config).unwrap();
+            assert!(!report.tainted(), "cycle {cycle}");
+            let recovered: BTreeMap<String, u64> = durable
+                .store()
+                .scalars()
+                .into_iter()
+                .map(|(key, value)| (key, value.to_bits()))
+                .collect();
+            let expected: BTreeMap<String, u64> = shadow
+                .iter()
+                .map(|(key, value)| (key.clone(), value.to_bits()))
+                .collect();
+            assert_eq!(recovered, expected, "cycle {cycle}");
+            assert_eq!(
+                durable.load_checkpoint().unwrap(),
+                checkpoint,
+                "cycle {cycle}"
+            );
+
+            let store = durable.store();
+            for step in 0..rng.gen_range(5u32..40) {
+                let key = format!("k{}", rng.gen_range(0u32..12));
+                let value = rng.gen_range(-1e6f64..1e6);
+                store.save(&key, value);
+                shadow.insert(key, value);
+                match rng.gen_range(0u32..10) {
+                    0 => durable.compact().unwrap(),
+                    1 => {
+                        checkpoint = format!("cycle {cycle} step {step}").into_bytes();
+                        durable.save_checkpoint(&checkpoint).unwrap();
+                    }
+                    2 => {
+                        durable.maybe_compact().unwrap();
+                    }
+                    _ => {}
+                }
+            }
+            assert!(!durable.append_failed(), "cycle {cycle}");
+        }
+    }
+
+    /// Wraps a [`MemBackend`]. Once armed with a store, the next WAL `load`
+    /// runs `save("late", 2.0)` on another thread and waits (at most
+    /// 300 ms) for that save's WAL append before returning what it read.
+    #[derive(Debug, Default)]
+    struct RacingBackend {
+        inner: MemBackend,
+        racer: Mutex<Option<Arc<FeatureStore>>>,
+        writer: Mutex<Option<std::thread::JoinHandle<()>>>,
+        appended: std::sync::Mutex<bool>,
+        append_seen: std::sync::Condvar,
+    }
+
+    impl PersistBackend for RacingBackend {
+        fn load(&self, region: Region) -> Result<Vec<u8>> {
+            let bytes = self.inner.load(region)?;
+            if region == Region::Wal {
+                if let Some(store) = self.racer.lock().take() {
+                    *self.appended.lock().unwrap() = false;
+                    let writer = std::thread::spawn(move || store.save("late", 2.0));
+                    let appended = self.appended.lock().unwrap();
+                    let _ = self
+                        .append_seen
+                        .wait_timeout_while(
+                            appended,
+                            std::time::Duration::from_millis(300),
+                            |done| !*done,
+                        )
+                        .unwrap();
+                    *self.writer.lock() = Some(writer);
+                }
+            }
+            Ok(bytes)
+        }
+
+        fn append(&self, region: Region, bytes: &[u8]) -> Result<()> {
+            self.inner.append(region, bytes)?;
+            if region == Region::Wal {
+                *self.appended.lock().unwrap() = true;
+                self.append_seen.notify_all();
+            }
+            Ok(())
+        }
+
+        fn replace(&self, region: Region, bytes: &[u8]) -> Result<()> {
+            self.inner.replace(region, bytes)
+        }
+    }
+
+    #[test]
+    fn compaction_keeps_a_save_that_lands_while_it_rewrites_the_wal() {
+        let backend = Arc::new(RacingBackend::default());
+        let open = || {
+            let b: Arc<dyn PersistBackend> = backend.clone();
+            DurableStore::open(b, DurabilityConfig::default()).unwrap()
+        };
+        {
+            let (durable, _) = open();
+            durable.store().save("early", 1.0);
+            *backend.racer.lock() = Some(durable.store());
+            durable.compact().unwrap();
+            let writer = backend.writer.lock().take();
+            writer.expect("compaction read the WAL").join().unwrap();
+            assert_eq!(durable.store().load("late"), Some(2.0));
+        }
+        let (durable, report) = open();
+        assert!(!report.tainted());
+        assert_eq!(durable.store().load("early"), Some(1.0));
+        assert_eq!(
+            durable.store().load("late"),
+            Some(2.0),
+            "a save racing the WAL rewrite survives reopen"
+        );
     }
 
     #[test]

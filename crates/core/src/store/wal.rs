@@ -50,7 +50,32 @@ pub struct WalRecord {
     pub value: f64,
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, bit-reflected), computed bytewise.
+/// The IEEE 802.3 CRC-32 polynomial, bit-reflected.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// `CRC32_TABLE[b]` is the CRC register after shifting byte `b` through
+/// eight bitwise steps, so [`crc32`] does one lookup per byte.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut crc = byte as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 == 1 {
+                (crc >> 1) ^ CRC32_POLY
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+        }
+        table[byte] = crc;
+        byte += 1;
+    }
+    table
+};
+
+/// CRC-32 (IEEE 802.3 polynomial, bit-reflected), table-driven.
 ///
 /// A local implementation because the offline build has no `crc` crate; the
 /// polynomial matches the ubiquitous zlib/ethernet CRC so external tools can
@@ -58,11 +83,7 @@ pub struct WalRecord {
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = 0u32.wrapping_sub(crc & 1);
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -312,6 +333,89 @@ mod tests {
         // Standard IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The reference CRC: eight shift-xor steps per byte, straight from the
+    /// polynomial. The table-driven [`crc32`] must match it bit for bit.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = 0u32.wrapping_sub(crc & 1);
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn table_crc32_matches_the_bitwise_reference() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        for byte in 0..=u8::MAX {
+            assert_eq!(crc32(&[byte]), crc32_bitwise(&[byte]), "byte {byte:#04x}");
+        }
+        let mut rng = SmallRng::seed_from_u64(0xC3C3);
+        let lengths = (0..=64usize)
+            .chain((0..200).map(|_| rng.gen_range(65usize..=4096)))
+            .chain([4096]);
+        for len in lengths.collect::<Vec<_>>() {
+            let input: Vec<u8> = (0..len).map(|_| rng.gen::<u32>() as u8).collect();
+            assert_eq!(crc32(&input), crc32_bitwise(&input), "length {len}");
+        }
+    }
+
+    #[test]
+    fn on_disk_encodings_are_pinned() {
+        use crate::monitor::checkpoint::EngineCheckpoint;
+        use crate::monitor::engine::EngineStats;
+        use crate::store::snapshot::Snapshot;
+
+        // Bytes produced by the bitwise CRC: a checksum change would
+        // orphan every WAL, snapshot and checkpoint already on disk.
+        assert_eq!(
+            hex(&encode_frame(&rec(42, "ml_enabled", 1.0))),
+            "a1571e0000002a00000000000000000000000000f03f0a0000006d6c5f656e61626c65647a0035b7"
+        );
+        assert_eq!(
+            hex(&encode_group_frame(&[
+                rec(7, "a", 0.5),
+                rec(8, "false_submit_rate", -0.073),
+                rec(9, "", f64::INFINITY),
+            ])),
+            "a25752000000030000000700000000000000000000000000e03f0100000061080000000000\
+             0000e3a59bc420b0b2bf1100000066616c73655f7375626d69745f72617465090000000000\
+             0000000000000000f07f00000000688dfece"
+        );
+        let snapshot = Snapshot {
+            seq: 4096,
+            entries: vec![("ml_enabled".to_string(), 0.0), ("rate".to_string(), 0.25)],
+        };
+        assert_eq!(
+            hex(&snapshot.encode()),
+            "314e534701000010000000000000020000000a0000006d6c5f656e61626c65640000000000\
+             0000000400000072617465000000000000d03f0fa1230c"
+        );
+        let checkpoint = EngineCheckpoint {
+            now: simkernel::Nanos::from_nanos(12_000_000_000),
+            stats: EngineStats {
+                evaluations: 100,
+                violations: 3,
+                trips: 1,
+                commands_emitted: 2,
+                ..EngineStats::default()
+            },
+            slots: vec![("io_predictor".to_string(), "fallback".to_string())],
+            monitors: Vec::new(),
+        };
+        let encoded = String::from_utf8(checkpoint.encode()).unwrap();
+        assert_eq!(encoded.lines().next(), Some("GRCP1 5b86587a"));
     }
 
     #[test]
