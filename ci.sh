@@ -25,6 +25,10 @@ fi
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all --check
 
+# Docs gate: every intra-doc link must resolve, so a doc comment that still
+# names a deleted type or function fails the build.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 # Determinism gate: E10 is seeded and wall-clock-free, so its CSV must be
 # byte-identical on every run. Regenerate and diff against the committed copy.
 cargo run --release -p gr-bench --bin exp_recovery >/dev/null

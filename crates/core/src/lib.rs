@@ -26,8 +26,9 @@
 //!    counters, EWMA, and histograms (§4.3).
 //! 6. [`props`] — synthesized guardrail templates for the paper's property
 //!    taxonomy P1–P6 (Figure 1).
-//! 7. [`telemetry`] — the runtime's own observability: a metrics registry,
-//!    a lock-free trace ring, and self-monitoring via the reserved
+//! 7. [`telemetry`] — the runtime's own observability: the engine's summed
+//!    counter blocks with batch, checkpoint and wall-time counts beside
+//!    them, a lock-free trace ring, and self-monitoring via the reserved
 //!    `__telemetry/` feature-store namespace (property P5 over the monitor
 //!    collection itself).
 //!

@@ -21,7 +21,7 @@ use crate::policy::PolicyRegistry;
 use crate::store::fxhash::FxHashMap;
 use crate::store::FeatureStore;
 use crate::telemetry::{ActionKind, Telemetry, TraceKind, NO_MONITOR, RESERVED_PREFIX};
-use crate::vm::{DeltaState, EvalCtx, Vm};
+use crate::vm::{DeltaState, EvalCtx, EvalResult, Vm};
 
 /// An opaque handle to an installed monitor.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -164,9 +164,9 @@ pub struct MonitorEngine {
     rule_fuel_limit: Option<u64>,
     pending_retrains: Vec<PendingRetrain>,
     /// Optional observability bundle. `None` (the default) keeps the hot
-    /// path exactly as before: one pointer-is-none check per site. Its
-    /// counters mirror the summed counter blocks, copied once at the end
-    /// of every evaluating entry point.
+    /// path exactly as before: one pointer-is-none check per site. It holds
+    /// the summed counter blocks, overwritten once at the end of every
+    /// evaluating entry point.
     telemetry: Option<Arc<Telemetry>>,
     /// When set, `advance_to` republishes telemetry into the store's
     /// reserved namespace at this cadence (default off: published values
@@ -216,11 +216,10 @@ impl MonitorEngine {
         }
     }
 
-    /// Attaches an observability bundle. Its engine counters mirror this
-    /// engine's counter blocks (all counts since the engine was created;
-    /// attach one bundle per engine), and trace events are recorded from
-    /// this point on. Pass a bundle shared with the durable store's host to
-    /// get WAL metrics in the same registry.
+    /// Attaches an observability bundle. Its engine counts are this
+    /// engine's counter blocks summed (all counts since the engine was
+    /// created; attach one bundle per engine), and trace events are
+    /// recorded from this point on.
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
         self.telemetry = Some(telemetry);
         self.mirror_telemetry();
@@ -537,8 +536,8 @@ impl MonitorEngine {
             .map(|&m| self.monitors[m].counts.evaluations)
             .collect();
         if let Some(t) = &self.telemetry {
-            t.m.batches.inc();
-            t.m.batch_events.add(events.len() as u64);
+            t.batches.inc();
+            t.batch_events.add(events.len() as u64);
             t.trace.record(
                 self.now,
                 TraceKind::EvalStart,
@@ -555,7 +554,7 @@ impl MonitorEngine {
         }
         let wall_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         if let Some(t) = &self.telemetry {
-            t.m.eval_wall_hist.observe(wall_ns);
+            t.eval_wall_hist.observe(wall_ns);
             t.trace
                 .record(self.now, TraceKind::EvalEnd, NO_MONITOR, wall_ns as f64);
         }
@@ -585,38 +584,22 @@ impl MonitorEngine {
         total
     }
 
-    /// Copies the summed counter blocks into the attached telemetry's
-    /// engine counters (a no-op without telemetry). Runs once at the end of
-    /// every evaluating entry point and before every publication, so the
-    /// counters are exact at every API boundary while the per-evaluation
-    /// path touches no atomics.
+    /// Writes the summed counter blocks into the attached telemetry (a
+    /// no-op without telemetry). Runs once at the end of every evaluating
+    /// entry point and before every publication, so the telemetry's counts
+    /// are exact at every API boundary while the per-evaluation path
+    /// touches no atomics.
     fn mirror_telemetry(&self) {
         let Some(t) = &self.telemetry else {
             return;
         };
-        let total = self.totals();
-        let fused: u64 = self
+        let fused = self
             .monitors
             .iter()
             .filter(|m| m.all_fused)
             .map(|m| m.counts.evaluations)
             .sum();
-        let m = &t.m;
-        for (counter, value) in [
-            (&m.evaluations, total.evaluations),
-            (&m.violations, total.violations),
-            (&m.trips, total.trips),
-            (&m.rule_fuel, total.rule_fuel),
-            (&m.action_fuel, total.action_fuel),
-            (&m.fused_evals, fused),
-            (&m.fallback_evals, total.evaluations - fused),
-            (&m.eval_wall_ns, total.wall_ns),
-        ] {
-            counter.set(value);
-        }
-        for (counter, value) in m.actions.iter().zip(total.actions) {
-            counter.set(value);
-        }
+        t.set_engine_counts(self.totals(), fused);
     }
 
     /// Timer-path evaluation wrapper: measures wall time around one
@@ -632,7 +615,7 @@ impl MonitorEngine {
         if self.monitors[midx].counts.evaluations > evals_before {
             self.monitors[midx].counts.wall_ns += wall_ns;
             if let Some(t) = &self.telemetry {
-                t.m.eval_wall_hist.observe(wall_ns);
+                t.eval_wall_hist.observe(wall_ns);
             }
         }
         if let Some(t) = &self.telemetry {
@@ -673,35 +656,24 @@ impl MonitorEngine {
             let store = &self.store;
             let limit = self.rule_fuel_limit;
             for (i, rule) in monitor.compiled.rules.iter().enumerate() {
-                let deltas = &mut monitor.rule_deltas[i];
-                // Isolate the evaluation: a fuel-starved or panicking rule
-                // must fault *this monitor*, never take down the engine.
-                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    vm.try_run(
-                        &rule.program,
-                        &mut EvalCtx {
-                            store,
-                            now,
-                            args,
-                            deltas,
-                        },
-                        limit,
-                    )
-                }));
-                match run {
-                    Ok(Ok(result)) => {
+                let mut ctx = EvalCtx {
+                    store,
+                    now,
+                    args,
+                    deltas: &mut monitor.rule_deltas[i],
+                };
+                // A fuel-starved or panicking rule faults *this monitor*,
+                // never the engine.
+                match Self::run_contained(vm, &rule.program, &mut ctx, limit) {
+                    Ok(result) => {
                         fuel += result.fuel;
                         if !result.as_bool() {
                             failed = Some(i);
                             break;
                         }
                     }
-                    Ok(Err(vm_fault)) => {
-                        fault = Some(format!("rule {i}: {vm_fault}"));
-                        break;
-                    }
-                    Err(_) => {
-                        fault = Some(format!("rule {i}: evaluation panicked"));
+                    Err(reason) => {
+                        fault = Some(format!("rule {i}: {reason}"));
                         break;
                     }
                 }
@@ -784,30 +756,18 @@ impl MonitorEngine {
         }
     }
 
-    /// Evaluates an action operand with the same containment as rule
-    /// evaluation: a fuel-starved or panicking operand yields an error the
-    /// caller reports and skips, instead of taking down the engine.
-    #[allow(clippy::too_many_arguments)]
-    fn eval_operand(
+    /// Runs a rule or action-operand program in isolation: a fuel-starved
+    /// or panicking program yields an error the caller reports, instead of
+    /// taking down the engine.
+    #[inline]
+    fn run_contained(
         vm: &mut Vm,
-        store: &FeatureStore,
         program: &Program,
-        now: Nanos,
-        args: &[f64],
-        deltas: &mut DeltaState,
+        ctx: &mut EvalCtx<'_>,
         limit: Option<u64>,
-    ) -> std::result::Result<crate::vm::EvalResult, String> {
+    ) -> std::result::Result<EvalResult, String> {
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            vm.try_run(
-                program,
-                &mut EvalCtx {
-                    store,
-                    now,
-                    args,
-                    deltas,
-                },
-                limit,
-            )
+            vm.try_run(program, ctx, limit)
         }));
         match run {
             Ok(Ok(result)) => Ok(result),
@@ -817,10 +777,16 @@ impl MonitorEngine {
     }
 
     fn dispatch_actions(&mut self, midx: usize, now: Nanos, args: &[f64]) {
-        let actions = self.monitors[midx].compiled.actions.clone();
-        let name = self.monitors[midx].compiled.name.clone();
-        for (aidx, action) in actions.iter().enumerate() {
-            let mut fuel = 0u64;
+        // Borrow the monitor's fields apart from the engine's, so the
+        // actions are read in place while the store, VM and outbox change.
+        let Monitor {
+            compiled,
+            action_deltas,
+            counts,
+            ..
+        } = &mut self.monitors[midx];
+        let name = &compiled.name;
+        for (aidx, action) in compiled.actions.iter().enumerate() {
             let kind = match action {
                 CompiledAction::Report { .. } => ActionKind::Report,
                 CompiledAction::Replace { .. } => ActionKind::Replace,
@@ -829,9 +795,48 @@ impl MonitorEngine {
                 CompiledAction::Save { .. } => ActionKind::Save,
                 CompiledAction::Record { .. } => ActionKind::Record,
             };
+            let operand = match action {
+                CompiledAction::Deprioritize { steps, .. } => steps.as_ref(),
+                CompiledAction::Save { value, .. } | CompiledAction::Record { value, .. } => {
+                    Some(value)
+                }
+                _ => None,
+            };
+            // `None` only for actions without an operand program (REPORT,
+            // REPLACE, RETRAIN, and DEPRIORITIZE without `steps`).
+            let mut fuel = 0u64;
+            let value = match operand {
+                None => None,
+                Some(program) => {
+                    let mut ctx = EvalCtx {
+                        store: &self.store,
+                        now,
+                        args,
+                        deltas: &mut action_deltas[aidx],
+                    };
+                    match Self::run_contained(&mut self.vm, program, &mut ctx, self.rule_fuel_limit)
+                    {
+                        Ok(r) => {
+                            fuel = r.fuel;
+                            Some(r.value)
+                        }
+                        Err(reason) => {
+                            self.reports.info(
+                                now,
+                                name,
+                                format!(
+                                    "{} operand fault: {reason}; action skipped",
+                                    kind.name().to_uppercase()
+                                ),
+                            );
+                            continue;
+                        }
+                    }
+                }
+            };
             match action {
                 CompiledAction::Report { message, keys } => {
-                    self.reports.report(now, &name, message, keys, &self.store);
+                    self.reports.report(now, name, message, keys, &self.store);
                 }
                 CompiledAction::Replace { slot, variant } => {
                     let outcome = if self.resilience.replace_fallback {
@@ -843,7 +848,7 @@ impl MonitorEngine {
                                 if &chosen != variant {
                                     self.reports.info(
                                         now,
-                                        &name,
+                                        name,
                                         format!(
                                             "REPLACE '{slot}': variant '{variant}' missing, \
                                              fell back to '{chosen}'"
@@ -858,8 +863,7 @@ impl MonitorEngine {
                         // A REPLACE against an unknown slot is a deployment
                         // bug; surface it in the report log rather than
                         // crashing the monitor (crash-free semantics, §4.2).
-                        self.reports
-                            .info(now, &name, format!("REPLACE failed: {e}"));
+                        self.reports.info(now, name, format!("REPLACE failed: {e}"));
                     }
                 }
                 CompiledAction::Retrain { model } => {
@@ -871,7 +875,7 @@ impl MonitorEngine {
                                 model: model.clone(),
                             },
                         );
-                        self.monitors[midx].counts.commands_emitted += 1;
+                        counts.commands_emitted += 1;
                     } else if let Some(retry) = self.resilience.retrain_retry {
                         // Rejected: schedule a backoff retry instead of
                         // dropping the request, unless one is already queued
@@ -879,7 +883,7 @@ impl MonitorEngine {
                         let queued = self
                             .pending_retrains
                             .iter()
-                            .any(|p| p.model == *model && p.guardrail == name);
+                            .any(|p| p.model == *model && p.guardrail == *name);
                         if !queued {
                             self.pending_retrains.push(PendingRetrain {
                                 guardrail: name.clone(),
@@ -890,97 +894,27 @@ impl MonitorEngine {
                         }
                     }
                 }
-                CompiledAction::Deprioritize { target, steps } => {
-                    let steps_value = match steps {
-                        Some(program) => {
-                            match Self::eval_operand(
-                                &mut self.vm,
-                                &self.store,
-                                program,
-                                now,
-                                args,
-                                &mut self.monitors[midx].action_deltas[aidx],
-                                self.rule_fuel_limit,
-                            ) {
-                                Ok(r) => {
-                                    fuel += r.fuel;
-                                    r.value.round().clamp(i32::MIN as f64, i32::MAX as f64) as i32
-                                }
-                                Err(reason) => {
-                                    self.reports.info(
-                                        now,
-                                        &name,
-                                        format!(
-                                            "DEPRIORITIZE operand fault: {reason}; \
-                                             action skipped"
-                                        ),
-                                    );
-                                    continue;
-                                }
-                            }
-                        }
-                        None => 5,
-                    };
+                CompiledAction::Deprioritize { target, .. } => {
+                    let steps = value.map_or(5, |v| {
+                        v.round().clamp(i32::MIN as f64, i32::MAX as f64) as i32
+                    });
                     self.outbox.push(
                         now,
                         Command::Deprioritize {
                             guardrail: name.clone(),
                             target: target.clone(),
-                            steps: steps_value,
+                            steps,
                         },
                     );
-                    self.monitors[midx].counts.commands_emitted += 1;
+                    counts.commands_emitted += 1;
                 }
-                CompiledAction::Save { key, value } => {
-                    match Self::eval_operand(
-                        &mut self.vm,
-                        &self.store,
-                        value,
-                        now,
-                        args,
-                        &mut self.monitors[midx].action_deltas[aidx],
-                        self.rule_fuel_limit,
-                    ) {
-                        Ok(r) => {
-                            fuel += r.fuel;
-                            self.store.save(key, r.value);
-                        }
-                        Err(reason) => {
-                            self.reports.info(
-                                now,
-                                &name,
-                                format!("SAVE operand fault: {reason}; action skipped"),
-                            );
-                            continue;
-                        }
-                    }
+                CompiledAction::Save { key, .. } => {
+                    self.store.save(key, value.unwrap_or_default());
                 }
-                CompiledAction::Record { key, value } => {
-                    match Self::eval_operand(
-                        &mut self.vm,
-                        &self.store,
-                        value,
-                        now,
-                        args,
-                        &mut self.monitors[midx].action_deltas[aidx],
-                        self.rule_fuel_limit,
-                    ) {
-                        Ok(r) => {
-                            fuel += r.fuel;
-                            self.store.record(key, now, r.value);
-                        }
-                        Err(reason) => {
-                            self.reports.info(
-                                now,
-                                &name,
-                                format!("RECORD operand fault: {reason}; action skipped"),
-                            );
-                            continue;
-                        }
-                    }
+                CompiledAction::Record { key, .. } => {
+                    self.store.record(key, now, value.unwrap_or_default());
                 }
             }
-            let counts = &mut self.monitors[midx].counts;
             counts.actions[kind as usize] += 1;
             counts.action_fuel += fuel;
             if let Some(t) = &self.telemetry {
@@ -1023,10 +957,9 @@ impl MonitorEngine {
     }
 
     /// Publishes the attached telemetry into the feature store's reserved
-    /// `__telemetry/` namespace, after copying the summed counter blocks
-    /// into its engine counters: every registry metric (see
-    /// [`Telemetry::publish_registry`]), the store's own write counters,
-    /// and per-guardrail P5 accounts under
+    /// `__telemetry/` namespace, after writing the summed counter blocks
+    /// into it: the engine-wide counts and the store's own write counters
+    /// (see [`Telemetry::publish`]), and per-guardrail P5 accounts under
     /// `__telemetry/guardrail/<name>/{evaluations,rule_fuel,action_fuel,
     /// wall_ns,modeled_ns,overhead_fraction}`. The fraction is
     /// `modeled_ns / now` — fuel-modeled, so it is deterministic and safe
@@ -1037,8 +970,7 @@ impl MonitorEngine {
             return;
         };
         self.mirror_telemetry();
-        t.observe_store(&self.store);
-        t.publish_registry(&self.store);
+        t.publish(&self.store);
         let now_ns = self.now.as_nanos();
         for m in &self.monitors {
             if m.retired {
@@ -1094,7 +1026,7 @@ impl MonitorEngine {
     /// mid-dispatch.
     pub fn checkpoint(&self) -> EngineCheckpoint {
         if let Some(t) = &self.telemetry {
-            t.m.checkpoints.inc();
+            t.checkpoints.inc();
             t.trace
                 .record(self.now, TraceKind::Checkpoint, NO_MONITOR, 0.0);
         }
@@ -1153,7 +1085,7 @@ impl MonitorEngine {
         self.carry = checkpoint.stats.combine(&self.totals(), u64::wrapping_sub);
         self.fast_forward_timers();
         if let Some(t) = &self.telemetry {
-            t.m.restores.inc();
+            t.restores.inc();
             t.trace
                 .record(self.now, TraceKind::Restart, NO_MONITOR, 0.0);
         }
@@ -1939,13 +1871,49 @@ guardrail low-false-submit {
         // Checkpoint/restore leave their own marks and counters.
         let checkpoint = engine.checkpoint();
         engine.restore(&checkpoint).unwrap();
-        assert_eq!(t.m.checkpoints.get(), 1);
-        assert_eq!(t.m.restores.get(), 1);
+        assert_eq!(t.checkpoints.get(), 1);
+        assert_eq!(t.restores.get(), 1);
         assert!(t
             .trace
             .snapshot()
             .iter()
             .any(|e| e.kind == TraceKind::Restart));
+    }
+
+    #[test]
+    fn telemetry_snapshot_is_path_independent_past_a_full_trace_ring() {
+        let run = |batched: bool| {
+            let t = Telemetry::with_trace_capacity(8);
+            let mut engine = MonitorEngine::new();
+            engine.set_telemetry(Arc::clone(&t));
+            engine
+                .install_str(
+                    "guardrail g { trigger: { FUNCTION(h) }, rule: { ARG(0) < 5 }, \
+                     action: { SAVE(x, 1) } }",
+                )
+                .unwrap();
+            let args: Vec<[f64; 1]> = (0..40).map(|i| [f64::from(i % 10)]).collect();
+            let events: Vec<FnEvent<'_>> = args
+                .iter()
+                .enumerate()
+                .map(|(i, a)| FnEvent {
+                    now: Nanos::from_micros(i as u64),
+                    args: a,
+                })
+                .collect();
+            if batched {
+                engine.on_function_batch("h", &events);
+            } else {
+                for e in &events {
+                    engine.on_function("h", e.now, e.args);
+                }
+            }
+            assert!(t.trace.overwritten() > 0, "the ring wrapped");
+            t.snapshot()
+        };
+        let sequential = run(false);
+        assert_eq!(sequential.trace_marks, 40, "20 violations, 20 actions");
+        assert_eq!(sequential, run(true));
     }
 
     #[test]

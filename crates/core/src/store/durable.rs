@@ -36,7 +36,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::error::{GuardrailError, Result};
-use crate::telemetry::{is_reserved, LogHistogram};
+use crate::telemetry::is_reserved;
 
 use super::snapshot::Snapshot;
 use super::wal::{decode_stream, encode_frame, encode_group_frame, WalRecord, WalStop};
@@ -329,19 +329,14 @@ struct WalAppender {
     bytes_appended: AtomicU64,
     /// Backend append calls (frames) since open.
     frames_appended: AtomicU64,
-    /// Distribution of records per appended frame (single-record frames
-    /// observe 1; group frames observe the group size).
-    group_hist: LogHistogram,
 }
 
 impl WalAppender {
-    /// Appends one encoded frame carrying `records` WAL records, updating
-    /// the always-on WAL metrics.
-    fn append_frame(&self, frame: &[u8], records: u64) {
+    /// Appends one encoded frame, updating the always-on WAL counters.
+    fn append_frame(&self, frame: &[u8]) {
         self.bytes_appended
             .fetch_add(frame.len() as u64, Ordering::Relaxed);
         self.frames_appended.fetch_add(1, Ordering::Relaxed);
-        self.group_hist.observe(records);
         let _wal = self.wal_lock.lock();
         if self.backend.append(Region::Wal, frame).is_err() {
             self.append_failed.store(true, Ordering::Relaxed);
@@ -356,9 +351,8 @@ impl WalAppender {
             return;
         }
         let frame = encode_group_frame(&pending);
-        let records = pending.len() as u64;
         pending.clear();
-        self.append_frame(&frame, records);
+        self.append_frame(&frame);
     }
 }
 
@@ -378,22 +372,18 @@ impl SaveJournal for WalAppender {
             key: key.to_string(),
             value,
         };
-        if self.group_commit <= 1 {
-            self.append_frame(&encode_frame(&record), 1);
-        } else {
-            // Same-key writes are serialized by the store's shard lock, so
-            // records for one key always land in the buffer in seq order;
-            // cross-key interleaving is harmless (post-state replay).
-            // The append happens under the buffer lock so group frames land
-            // in the log in the order their groups filled.
-            let mut pending = self.pending.lock();
-            pending.push(record);
-            if pending.len() >= self.group_commit {
-                let frame = encode_group_frame(&pending);
-                let records = pending.len() as u64;
-                pending.clear();
-                self.append_frame(&frame, records);
-            }
+        // Same-key writes are serialized by the store's shard lock, so
+        // records for one key always land in the buffer in seq order;
+        // cross-key interleaving is harmless (post-state replay). The
+        // append happens under the buffer lock so group frames land in the
+        // log in the order their groups filled. A group of one encodes as
+        // the plain single-record frame.
+        let mut pending = self.pending.lock();
+        pending.push(record);
+        if pending.len() >= self.group_commit {
+            let frame = encode_group_frame(&pending);
+            pending.clear();
+            self.append_frame(&frame);
         }
         self.since_compact.fetch_add(1, Ordering::Relaxed);
     }
@@ -479,7 +469,6 @@ impl DurableStore {
             wal_lock: Mutex::new(()),
             bytes_appended: AtomicU64::new(0),
             frames_appended: AtomicU64::new(0),
-            group_hist: LogHistogram::new(),
         });
         store.set_journal(Some(appender.clone()));
         Ok((
@@ -522,11 +511,6 @@ impl DurableStore {
     /// WAL frames (backend append calls) since open.
     pub fn wal_frames_appended(&self) -> u64 {
         self.appender.frames_appended.load(Ordering::Relaxed)
-    }
-
-    /// Distribution of records per appended frame (group-commit sizes).
-    pub fn wal_group_hist(&self) -> &LogHistogram {
-        &self.appender.group_hist
     }
 
     /// Records buffered for the next group frame but not yet durable.
@@ -731,6 +715,27 @@ mod tests {
     }
 
     #[test]
+    fn quarantined_increment_reads_the_same_after_reopen() {
+        let backend = Arc::new(MemBackend::new());
+        let live = {
+            let (durable, _) = open_mem(&backend);
+            let store = durable.store();
+            store.save("c", 1.0);
+            store.incr("c", f64::NAN);
+            store.incr("c", 2.0);
+            assert_eq!(store.poisoned_total(), 1, "the live store quarantines");
+            store.load("c")
+        };
+        let (durable, report) = open_mem(&backend);
+        assert_eq!(durable.store().load("c"), live, "reopened equals live");
+        assert_eq!(live, Some(3.0));
+        assert_eq!(
+            report.wal_records_quarantined, 0,
+            "the poison never reached the WAL"
+        );
+    }
+
+    #[test]
     fn crash_between_snapshot_and_truncate_is_idempotent() {
         let backend = Arc::new(MemBackend::new());
         {
@@ -918,6 +923,19 @@ mod tests {
             grouped.load(Region::Wal).unwrap(),
             plain.load(Region::Wal).unwrap()
         );
+        // Both are the plain single-record frames, one per write.
+        let frames: Vec<u8> = ["x", "y", "z"]
+            .iter()
+            .enumerate()
+            .flat_map(|(i, key)| {
+                encode_frame(&WalRecord {
+                    seq: i as u64 + 1,
+                    key: key.to_string(),
+                    value: i as f64,
+                })
+            })
+            .collect();
+        assert_eq!(plain.load(Region::Wal).unwrap(), frames);
     }
 
     #[test]

@@ -199,9 +199,8 @@ impl FeatureStore {
     /// any — survives, and the per-key poison counter is incremented so
     /// monitors can watch `poison_count` for a misbehaving producer.
     pub fn save(&self, key: &str, value: f64) {
-        if !value.is_finite() && self.quarantine.load(Ordering::Relaxed) {
-            *self.poisoned.write().entry(key.to_string()).or_insert(0) += 1;
-            self.poisoned_total.fetch_add(1, Ordering::Relaxed);
+        if self.quarantines(value) {
+            self.poison(key);
             return;
         }
         let mut guard = self.shard_write(key);
@@ -219,6 +218,18 @@ impl FeatureStore {
                 guard.insert(key.to_string(), Entry::Scalar(value));
             }
         }
+    }
+
+    /// Whether a write of `value` is dropped by the quarantine.
+    #[inline]
+    fn quarantines(&self, value: f64) -> bool {
+        !value.is_finite() && self.quarantine.load(Ordering::Relaxed)
+    }
+
+    /// Counts a quarantined write to `key`.
+    fn poison(&self, key: &str) {
+        *self.poisoned.write().entry(key.to_string()).or_insert(0) += 1;
+        self.poisoned_total.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Enables or disables the non-finite `SAVE` quarantine (on by default;
@@ -262,36 +273,42 @@ impl FeatureStore {
 
     /// Atomically increments a scalar by `by` (creating it at 0), returning
     /// the new value.
+    ///
+    /// A non-finite result is quarantined exactly as [`FeatureStore::save`]
+    /// quarantines a non-finite value: nothing is written or journaled, and
+    /// the call returns the scalar the key keeps (0 when it holds none).
     pub fn incr(&self, key: &str, by: f64) -> f64 {
         let mut guard = self.shard_write(key);
-        self.saves_total.fetch_add(1, Ordering::Relaxed);
         // Look up without allocating; only a first-touch insert pays for
         // the key string. Counting into a structured entry replaces it;
         // mixed usage of one key is a spec bug, and scalar-wins keeps it
         // visible. The journal sees the post-state before it is applied
         // (write-ahead ordering); post-state frames keep replay idempotent
         // even for counters.
-        if let Some(entry) = guard.get_mut(key) {
-            let new = match entry {
-                Entry::Scalar(v) => *v + by,
-                _ => by,
-            };
-            if self.journaled(key) {
-                if let Some(journal) = self.journal.read().as_ref() {
-                    journal.record_save(key, new);
-                }
-            }
-            *entry = Entry::Scalar(new);
-            new
-        } else {
-            if self.journaled(key) {
-                if let Some(journal) = self.journal.read().as_ref() {
-                    journal.record_save(key, by);
-                }
-            }
-            guard.insert(key.to_string(), Entry::Scalar(by));
-            by
+        let entry = guard.get_mut(key);
+        let current = match entry.as_deref() {
+            Some(Entry::Scalar(v)) => Some(*v),
+            _ => None,
+        };
+        let new = current.map_or(by, |v| v + by);
+        if self.quarantines(new) {
+            drop(guard);
+            self.poison(key);
+            return current.unwrap_or(0.0);
         }
+        if self.journaled(key) {
+            if let Some(journal) = self.journal.read().as_ref() {
+                journal.record_save(key, new);
+            }
+        }
+        self.saves_total.fetch_add(1, Ordering::Relaxed);
+        match entry {
+            Some(entry) => *entry = Entry::Scalar(new),
+            None => {
+                guard.insert(key.to_string(), Entry::Scalar(new));
+            }
+        }
+        new
     }
 
     /// `RECORD(key, value)`: appends a timestamped sample to a windowed
@@ -567,6 +584,32 @@ mod tests {
         store.save("fresh", f64::NAN);
         assert_eq!(store.load("fresh"), None);
         assert_eq!(store.poisoned_total(), 4);
+    }
+
+    #[test]
+    fn quarantine_rejects_non_finite_increments() {
+        let store = FeatureStore::new();
+        store.save("c", 1.0);
+        // A non-finite step, or one that overflows the sum, is dropped.
+        assert_eq!(store.incr("c", f64::NAN), 1.0);
+        assert_eq!(store.incr("c", f64::INFINITY), 1.0);
+        store.save("big", f64::MAX);
+        assert_eq!(store.incr("big", f64::MAX), f64::MAX);
+        assert_eq!(store.load("c"), Some(1.0));
+        assert_eq!(store.load("big"), Some(f64::MAX));
+        assert_eq!(store.poison_count("c"), 2);
+        assert_eq!(store.poison_count("big"), 1);
+        assert_eq!(store.saves_total(), 2, "quarantined writes are not saves");
+        // A key never written finitely stays absent; the call reads 0.
+        assert_eq!(store.incr("fresh", f64::NEG_INFINITY), 0.0);
+        assert_eq!(store.load("fresh"), None);
+        assert_eq!(store.poisoned_total(), 4);
+        // Finite increments still count.
+        assert_eq!(store.incr("c", 2.0), 3.0);
+        // With the quarantine off the poison lands, as for `save`.
+        store.set_quarantine(false);
+        assert!(store.incr("c", f64::NAN).is_nan());
+        assert!(store.load("c").unwrap().is_nan());
     }
 
     #[test]

@@ -1,16 +1,10 @@
-//! Metric primitives: counters, gauges, and log-scale histograms.
+//! Metric primitives: counters and log-scale histograms.
 //!
-//! Everything here is a thin wrapper over `AtomicU64` so the hot path —
-//! engine evaluation, store writes, WAL appends — can record without
-//! allocating, locking, or branching on more than an `Option` check.
-//! Registration (which does allocate) happens once at telemetry
-//! construction; handles are `Arc`s shared between the registry (for
-//! export) and the instrumented component (for recording).
+//! Both are thin wrappers over `AtomicU64`, so the engine can record
+//! through a shared [`Telemetry`](super::Telemetry) without allocating or
+//! locking.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::RwLock;
 
 /// A monotonically increasing event count.
 #[derive(Debug, Default)]
@@ -34,44 +28,9 @@ impl Counter {
         self.add(1);
     }
 
-    /// Sets the counter to a total kept elsewhere (the engine mirrors its
-    /// per-monitor counter blocks this way).
-    #[inline]
-    pub fn set(&self, n: u64) {
-        self.0.store(n, Ordering::Relaxed);
-    }
-
     /// The current total.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-write-wins instantaneous value (stored as `f64` bits).
-#[derive(Debug)]
-pub struct Gauge(AtomicU64);
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Gauge(AtomicU64::new(0f64.to_bits()))
-    }
-}
-
-impl Gauge {
-    /// Creates a gauge at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the gauge.
-    #[inline]
-    pub fn set(&self, value: f64) {
-        self.0.store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
 
@@ -176,129 +135,6 @@ impl LogHistogram {
         }
         u64::MAX
     }
-
-    /// Per-bucket counts (diagnostics / export).
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Overwrites this histogram with `other`'s current contents. Used at
-    /// publish time to mirror a histogram owned by another component (the
-    /// WAL appender's group-size distribution) into a registered handle.
-    pub fn copy_from(&self, other: &LogHistogram) {
-        for (dst, src) in self.buckets.iter().zip(other.buckets.iter()) {
-            dst.store(src.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.sum
-            .store(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-}
-
-/// An exported metric value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum MetricValue {
-    /// A counter total.
-    Counter(u64),
-    /// A gauge reading.
-    Gauge(f64),
-    /// A histogram summary: `(count, sum, p50, p95, p99)`.
-    Histogram {
-        /// Samples recorded.
-        count: u64,
-        /// Sum of all samples.
-        sum: u64,
-        /// Median bucket upper bound.
-        p50: u64,
-        /// 95th-percentile bucket upper bound.
-        p95: u64,
-        /// 99th-percentile bucket upper bound.
-        p99: u64,
-    },
-}
-
-enum Registered {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<LogHistogram>),
-}
-
-/// A registry of named metrics.
-///
-/// Registration returns a shared handle the instrumented code records into
-/// directly; the registry only re-enters the picture at export time
-/// ([`MetricsRegistry::snapshot`]) and when metrics are published into the
-/// feature store. Names are expected to be unique; a duplicate
-/// registration simply yields two rows with the same name.
-#[derive(Default)]
-pub struct MetricsRegistry {
-    entries: RwLock<Vec<(&'static str, Registered)>>,
-}
-
-impl std::fmt::Debug for MetricsRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetricsRegistry")
-            .field("metrics", &self.entries.read().len())
-            .finish()
-    }
-}
-
-impl MetricsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a counter and returns its recording handle.
-    pub fn counter(&self, name: &'static str) -> Arc<Counter> {
-        let handle = Arc::new(Counter::new());
-        self.entries
-            .write()
-            .push((name, Registered::Counter(Arc::clone(&handle))));
-        handle
-    }
-
-    /// Registers a gauge and returns its recording handle.
-    pub fn gauge(&self, name: &'static str) -> Arc<Gauge> {
-        let handle = Arc::new(Gauge::new());
-        self.entries
-            .write()
-            .push((name, Registered::Gauge(Arc::clone(&handle))));
-        handle
-    }
-
-    /// Registers a log-scale histogram and returns its recording handle.
-    pub fn histogram(&self, name: &'static str) -> Arc<LogHistogram> {
-        let handle = Arc::new(LogHistogram::new());
-        self.entries
-            .write()
-            .push((name, Registered::Histogram(Arc::clone(&handle))));
-        handle
-    }
-
-    /// Reads every registered metric, in registration order.
-    pub fn snapshot(&self) -> Vec<(&'static str, MetricValue)> {
-        self.entries
-            .read()
-            .iter()
-            .map(|(name, metric)| {
-                let value = match metric {
-                    Registered::Counter(c) => MetricValue::Counter(c.get()),
-                    Registered::Gauge(g) => MetricValue::Gauge(g.get()),
-                    Registered::Histogram(h) => MetricValue::Histogram {
-                        count: h.count(),
-                        sum: h.sum(),
-                        p50: h.quantile(0.50),
-                        p95: h.quantile(0.95),
-                        p99: h.quantile(0.99),
-                    },
-                };
-                (*name, value)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -306,15 +142,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_basics() {
+    fn counter_basics() {
         let c = Counter::new();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        let g = Gauge::new();
-        assert_eq!(g.get(), 0.0);
-        g.set(2.5);
-        assert_eq!(g.get(), 2.5);
     }
 
     #[test]
@@ -344,26 +176,5 @@ mod tests {
         let empty = LogHistogram::new();
         assert_eq!(empty.quantile(0.99), 0);
         assert_eq!(empty.mean(), 0.0);
-    }
-
-    #[test]
-    fn registry_snapshot_reads_everything() {
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("evals");
-        let g = reg.gauge("load");
-        let h = reg.histogram("lat");
-        c.add(3);
-        g.set(0.7);
-        h.observe(100);
-        let snap = reg.snapshot();
-        assert_eq!(snap.len(), 3);
-        assert_eq!(snap[0], ("evals", MetricValue::Counter(3)));
-        assert_eq!(snap[1], ("load", MetricValue::Gauge(0.7)));
-        match &snap[2].1 {
-            MetricValue::Histogram { count, sum, .. } => {
-                assert_eq!((*count, *sum), (1, 100));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
     }
 }

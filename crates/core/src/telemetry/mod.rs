@@ -3,18 +3,22 @@
 //! The paper's property taxonomy includes P5 (decision overhead), and its
 //! action set is anchored by A1 (`REPORT`) — yet a monitor collection that
 //! cannot observe *itself* leaves the operator guessing about where monitor
-//! time goes. This module closes that gap with three pieces:
+//! time goes. A [`Telemetry`] bundle attached to the engine answers that:
 //!
-//! 1. **A metrics registry** ([`MetricsRegistry`]) of counters, gauges, and
-//!    fixed log-scale-bucket histograms, with pre-registered handles
-//!    ([`EngineMetrics`]): evaluations, violations, trips, fuel burned,
-//!    fused/fallback evaluation counts, action firings by kind, eval wall
-//!    time, store shard contention, and WAL bytes/flushes/group sizes.
+//! 1. **Counts.** The engine counts each evaluation, violation, trip, fuel
+//!    unit and action firing once, in the evaluating monitor's counter
+//!    block ([`crate::monitor::OverheadAccount`]). The bundle keeps the
+//!    blocks' latest sum, which the engine overwrites in one write at the
+//!    end of every evaluating entry point (once per batch or per
+//!    `advance_to` that ran a timer, not once per event) and before every
+//!    publication. Beside it the bundle records only what the blocks
+//!    cannot: batch counts, checkpoints, restores and a log-scale
+//!    histogram of evaluation wall time ([`LogHistogram`]).
 //! 2. **A trace ring** ([`TraceRing`]): a lock-free, bounded,
 //!    overwrite-oldest ring of spans and events (eval start/end, violation,
 //!    action, checkpoint, restart) with text and JSON exporters.
 //! 3. **Self-monitoring**: [`crate::monitor::MonitorEngine::publish_telemetry`]
-//!    writes the metrics into the feature store under the reserved
+//!    writes the counts into the feature store under the reserved
 //!    `__telemetry/` namespace, so a guardrail spec can `LOAD` them — the
 //!    worked "overhead guardrail" (`examples/overhead_guardrail.rs`)
 //!    `REPORT`s and `DEPRIORITIZE`s a monitor whose own P5 overhead exceeds
@@ -23,28 +27,27 @@
 //! Reserved keys are process-lifetime observations, not durable state: the
 //! store's write-ahead journal skips them, snapshots exclude them, and WAL
 //! replay refuses to resurrect them into user state (see
-//! [`crate::store::durable`]).
+//! [`crate::store::durable`]). The write-ahead log counts its own traffic
+//! ([`crate::store::durable::DurableStore::wal_bytes_appended`] and
+//! `wal_frames_appended`), which is not published.
 //!
-//! Everything on the hot path is allocation-free — and the per-evaluation
-//! path is *atomic-free*. The engine counts each event once, in the
-//! evaluating monitor's plain-integer counter block
-//! ([`crate::monitor::OverheadAccount`]); its engine counters here are a
-//! mirror of those blocks summed, which the engine copies in once at the
-//! end of every evaluating entry point (once per batch or per
-//! `advance_to` that ran a timer, not once per event) and before every
-//! publication. So attaching telemetry adds no per-evaluation work beyond
-//! the wall-time histogram and trace records. Histogram observes are a
-//! shift plus two adds, and trace records (rare events only: violations,
-//! actions, checkpoints) are five atomic stores into a pre-sized ring.
+//! Everything on the hot path is allocation-free, and the per-evaluation
+//! path is *atomic-free*: attaching telemetry adds only the wall-time
+//! histogram (a shift plus two adds per batch or timer evaluation) and
+//! trace records (a few atomic stores and a fence into a pre-sized ring,
+//! and only for spans and rare events: violations, actions, checkpoints).
 
 pub mod metrics;
 pub mod trace;
 
 use std::sync::Arc;
 
-pub use metrics::{Counter, Gauge, LogHistogram, MetricValue, MetricsRegistry, HIST_BUCKETS};
+use parking_lot::Mutex;
+
+pub use metrics::{Counter, LogHistogram, HIST_BUCKETS};
 pub use trace::{TraceEvent, TraceKind, TraceRing, NO_MONITOR};
 
+use crate::monitor::OverheadAccount;
 use crate::store::FeatureStore;
 
 /// Prefix of the reserved self-monitoring namespace in the feature store.
@@ -57,7 +60,7 @@ pub fn is_reserved(key: &str) -> bool {
     key.as_bytes().first() == Some(&b'_') && key.starts_with(RESERVED_PREFIX)
 }
 
-/// The action kinds counted by [`EngineMetrics::actions`], in index order.
+/// The action kinds counted by [`OverheadAccount::actions`], in index order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum ActionKind {
@@ -99,88 +102,6 @@ impl ActionKind {
     }
 }
 
-/// Pre-registered metric handles for the engine and its collaborators.
-///
-/// Handles are `Arc`s shared with the owning [`MetricsRegistry`], so the
-/// registry sees every metric at export time. The engine counters
-/// (evaluations through actions) mirror the engine's summed per-monitor
-/// counter blocks; the engine sets them, nothing else should.
-#[derive(Debug)]
-pub struct EngineMetrics {
-    /// Rule-set evaluations performed.
-    pub evaluations: Arc<Counter>,
-    /// Violations detected (rule false).
-    pub violations: Arc<Counter>,
-    /// Violations whose actions fired (post-hysteresis).
-    pub trips: Arc<Counter>,
-    /// Fuel burned by rule programs.
-    pub rule_fuel: Arc<Counter>,
-    /// Fuel burned by action operand programs.
-    pub action_fuel: Arc<Counter>,
-    /// Evaluations of monitors whose every rule has a fused stream.
-    pub fused_evals: Arc<Counter>,
-    /// Evaluations of monitors with a rule that has no fused stream (the
-    /// VM runs its plain ops through the same loop).
-    pub fallback_evals: Arc<Counter>,
-    /// Batches ingested via `on_function_batch`.
-    pub batches: Arc<Counter>,
-    /// Events ingested across all batches.
-    pub batch_events: Arc<Counter>,
-    /// Measured wall nanoseconds spent evaluating.
-    pub eval_wall_ns: Arc<Counter>,
-    /// Wall-time distribution, one sample per timer evaluation or batch.
-    pub eval_wall_hist: Arc<LogHistogram>,
-    /// Engine checkpoints captured.
-    pub checkpoints: Arc<Counter>,
-    /// Engine restores (supervised restarts).
-    pub restores: Arc<Counter>,
-    /// Action firings by kind, indexed by [`ActionKind`].
-    pub actions: [Arc<Counter>; 6],
-    /// Feature-store scalar writes (copied from the store at publish).
-    pub store_saves: Arc<Gauge>,
-    /// Feature-store shard-lock contention events (copied at publish).
-    pub store_contention: Arc<Gauge>,
-    /// WAL bytes appended (copied from the durable store at publish).
-    pub wal_bytes: Arc<Gauge>,
-    /// WAL frame flushes (copied at publish).
-    pub wal_flushes: Arc<Gauge>,
-    /// Distribution of records per group-commit frame.
-    pub wal_group_hist: Arc<LogHistogram>,
-}
-
-impl EngineMetrics {
-    fn register(registry: &MetricsRegistry) -> Self {
-        EngineMetrics {
-            evaluations: registry.counter("engine/evaluations"),
-            violations: registry.counter("engine/violations"),
-            trips: registry.counter("engine/trips"),
-            rule_fuel: registry.counter("engine/rule_fuel"),
-            action_fuel: registry.counter("engine/action_fuel"),
-            fused_evals: registry.counter("vm/fused_evals"),
-            fallback_evals: registry.counter("vm/fallback_evals"),
-            batches: registry.counter("engine/batches"),
-            batch_events: registry.counter("engine/batch_events"),
-            eval_wall_ns: registry.counter("engine/eval_wall_ns"),
-            eval_wall_hist: registry.histogram("engine/eval_wall_ns_hist"),
-            checkpoints: registry.counter("engine/checkpoints"),
-            restores: registry.counter("engine/restores"),
-            actions: [
-                registry.counter("actions/report"),
-                registry.counter("actions/replace"),
-                registry.counter("actions/retrain"),
-                registry.counter("actions/deprioritize"),
-                registry.counter("actions/save"),
-                registry.counter("actions/record"),
-            ],
-            store_saves: registry.gauge("store/saves"),
-            store_contention: registry.gauge("store/shard_contention"),
-            wal_bytes: registry.gauge("wal/bytes"),
-            wal_flushes: registry.gauge("wal/flushes"),
-            wal_group_hist: registry.histogram("wal/group_records_hist"),
-        }
-    }
-}
-
 /// A deterministic summary of the telemetry counters.
 ///
 /// Wall-clock fields are deliberately absent: two observationally identical
@@ -206,20 +127,38 @@ pub struct TelemetrySnapshot {
     /// Action firings by kind, indexed by [`ActionKind`].
     pub actions: [u64; 6],
     /// Trace events recorded that are not wall-time spans (violations,
-    /// actions, checkpoints, restarts).
+    /// actions, checkpoints, restarts), counted when recorded: the batched
+    /// and sequential paths record different numbers of spans, so a count
+    /// of the events the ring still holds would differ between them.
     pub trace_marks: u64,
 }
 
-/// The telemetry bundle a host attaches to an engine (and optionally the
-/// durable store): one registry, the pre-registered engine handles, and
-/// the trace ring.
+/// The telemetry bundle a host attaches to an engine.
 #[derive(Debug)]
 pub struct Telemetry {
-    registry: MetricsRegistry,
-    /// Recording handles (hot-path side).
-    pub m: EngineMetrics,
     /// The span/event trace.
     pub trace: TraceRing,
+    /// Wall-time distribution, one sample per timer evaluation or batch.
+    pub eval_wall_hist: LogHistogram,
+    /// Batches ingested via `on_function_batch`.
+    pub batches: Counter,
+    /// Events ingested across all batches.
+    pub batch_events: Counter,
+    /// Engine checkpoints captured.
+    pub checkpoints: Counter,
+    /// Engine restores (supervised restarts).
+    pub restores: Counter,
+    /// The engine's summed counter blocks as of its last entry point.
+    engine: Mutex<EngineCounts>,
+}
+
+/// What the engine writes into the bundle after each entry point.
+#[derive(Clone, Copy, Debug, Default)]
+struct EngineCounts {
+    /// Every monitor's counter block summed (retired monitors included).
+    totals: OverheadAccount,
+    /// The evaluations of monitors whose every rule has a fused stream.
+    fused_evals: u64,
 }
 
 /// Default trace-ring capacity (events).
@@ -233,107 +172,98 @@ impl Telemetry {
 
     /// Creates a telemetry bundle whose trace ring holds `capacity` events.
     pub fn with_trace_capacity(capacity: usize) -> Arc<Self> {
-        let registry = MetricsRegistry::new();
-        let m = EngineMetrics::register(&registry);
         Arc::new(Telemetry {
-            registry,
-            m,
             trace: TraceRing::new(capacity),
+            eval_wall_hist: LogHistogram::new(),
+            batches: Counter::new(),
+            batch_events: Counter::new(),
+            checkpoints: Counter::new(),
+            restores: Counter::new(),
+            engine: Mutex::new(EngineCounts::default()),
         })
     }
 
-    /// The metrics registry (export side).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
+    /// Overwrites the engine's counts: `totals` is every counter block
+    /// summed, `fused_evals` the share of its evaluations that ran
+    /// all-fused monitors.
+    pub(crate) fn set_engine_counts(&self, totals: OverheadAccount, fused_evals: u64) {
+        *self.engine.lock() = EngineCounts {
+            totals,
+            fused_evals,
+        };
     }
 
     /// Reads the deterministic counter summary (see [`TelemetrySnapshot`]).
     pub fn snapshot(&self) -> TelemetrySnapshot {
+        let EngineCounts {
+            totals,
+            fused_evals,
+        } = *self.engine.lock();
         TelemetrySnapshot {
-            evaluations: self.m.evaluations.get(),
-            violations: self.m.violations.get(),
-            trips: self.m.trips.get(),
-            rule_fuel: self.m.rule_fuel.get(),
-            action_fuel: self.m.action_fuel.get(),
-            fused_evals: self.m.fused_evals.get(),
-            fallback_evals: self.m.fallback_evals.get(),
-            actions: [
-                self.m.actions[0].get(),
-                self.m.actions[1].get(),
-                self.m.actions[2].get(),
-                self.m.actions[3].get(),
-                self.m.actions[4].get(),
-                self.m.actions[5].get(),
-            ],
-            trace_marks: self
-                .trace
-                .snapshot()
-                .iter()
-                .filter(|e| !matches!(e.kind, TraceKind::EvalStart | TraceKind::EvalEnd))
-                .count() as u64,
+            evaluations: totals.evaluations,
+            violations: totals.violations,
+            trips: totals.trips,
+            rule_fuel: totals.rule_fuel,
+            action_fuel: totals.action_fuel,
+            fused_evals,
+            fallback_evals: totals.evaluations - fused_evals,
+            actions: totals.actions,
+            trace_marks: self.trace.marks(),
         }
     }
 
-    /// Publishes every registered metric into `store` under the reserved
-    /// `__telemetry/` namespace (`__telemetry/<metric-name>` for scalars,
-    /// `.../{count,sum,p50,p95,p99}` for histograms), plus the trace ring's
-    /// own occupancy. Reserved keys skip the write-ahead journal, so
-    /// publishing is cheap and never pollutes durable state.
-    pub fn publish_registry(&self, store: &FeatureStore) {
+    /// Publishes the counts into `store` under the reserved `__telemetry/`
+    /// namespace: `engine/*` (the summed counter blocks, batches, wall
+    /// time and its histogram's `count`/`sum`/`p50`/`p95`/`p99`,
+    /// checkpoints, restores), `vm/{fused,fallback}_evals`, `actions/<kind>`,
+    /// `store/{saves,shard_contention}` (read from `store` before this
+    /// publication writes to it) and `trace/{recorded,overwritten}`.
+    /// Reserved keys skip the write-ahead journal, so publishing is cheap
+    /// and never pollutes durable state.
+    pub fn publish(&self, store: &FeatureStore) {
+        let EngineCounts {
+            totals,
+            fused_evals,
+        } = *self.engine.lock();
+        let hist = &self.eval_wall_hist;
+        // Every value is read here, before the first write below.
+        let counts = [
+            ("engine/evaluations", totals.evaluations),
+            ("engine/violations", totals.violations),
+            ("engine/trips", totals.trips),
+            ("engine/rule_fuel", totals.rule_fuel),
+            ("engine/action_fuel", totals.action_fuel),
+            ("vm/fused_evals", fused_evals),
+            ("vm/fallback_evals", totals.evaluations - fused_evals),
+            ("engine/batches", self.batches.get()),
+            ("engine/batch_events", self.batch_events.get()),
+            ("engine/eval_wall_ns", totals.wall_ns),
+            ("engine/eval_wall_ns_hist/count", hist.count()),
+            ("engine/eval_wall_ns_hist/sum", hist.sum()),
+            ("engine/eval_wall_ns_hist/p50", hist.quantile(0.50)),
+            ("engine/eval_wall_ns_hist/p95", hist.quantile(0.95)),
+            ("engine/eval_wall_ns_hist/p99", hist.quantile(0.99)),
+            ("engine/checkpoints", self.checkpoints.get()),
+            ("engine/restores", self.restores.get()),
+            ("store/saves", store.saves_total()),
+            ("store/shard_contention", store.contention_total()),
+            ("trace/recorded", self.trace.recorded()),
+            ("trace/overwritten", self.trace.overwritten()),
+        ];
         let mut key = String::with_capacity(64);
-        for (name, value) in self.registry.snapshot() {
+        let mut put = |prefix: &str, name: &str, value: u64| {
             key.clear();
             key.push_str(RESERVED_PREFIX);
+            key.push_str(prefix);
             key.push_str(name);
-            match value {
-                MetricValue::Counter(v) => store.save(&key, v as f64),
-                MetricValue::Gauge(v) => store.save(&key, v),
-                MetricValue::Histogram {
-                    count,
-                    sum,
-                    p50,
-                    p95,
-                    p99,
-                } => {
-                    let base = key.len();
-                    for (suffix, v) in [
-                        ("/count", count),
-                        ("/sum", sum),
-                        ("/p50", p50),
-                        ("/p95", p95),
-                        ("/p99", p99),
-                    ] {
-                        key.truncate(base);
-                        key.push_str(suffix);
-                        store.save(&key, v as f64);
-                    }
-                }
-            }
+            store.save(&key, value as f64);
+        };
+        for (name, value) in counts {
+            put("", name, value);
         }
-        store.save(
-            &format!("{RESERVED_PREFIX}trace/recorded"),
-            self.trace.recorded() as f64,
-        );
-        store.save(
-            &format!("{RESERVED_PREFIX}trace/overwritten"),
-            self.trace.overwritten() as f64,
-        );
-    }
-
-    /// Copies the feature store's always-on write counters into the
-    /// registered gauges. Called by the engine's publisher; standalone
-    /// hosts can call it directly.
-    pub fn observe_store(&self, store: &FeatureStore) {
-        self.m.store_saves.set(store.saves_total() as f64);
-        self.m.store_contention.set(store.contention_total() as f64);
-    }
-
-    /// Copies a durable store's always-on WAL counters into the registered
-    /// gauges and mirrors its group-size histogram.
-    pub fn observe_wal(&self, durable: &crate::store::durable::DurableStore) {
-        self.m.wal_bytes.set(durable.wal_bytes_appended() as f64);
-        self.m.wal_flushes.set(durable.wal_frames_appended() as f64);
-        self.m.wal_group_hist.copy_from(durable.wal_group_hist());
+        for kind in ActionKind::ALL {
+            put("actions/", kind.name(), totals.actions[kind as usize]);
+        }
     }
 }
 
@@ -351,31 +281,45 @@ mod tests {
         assert!(!is_reserved(""));
     }
 
+    /// A counter block with `evaluations`, `wall_ns` and one `REPORT`.
+    fn block(evaluations: u64, wall_ns: u64) -> OverheadAccount {
+        let mut totals = OverheadAccount {
+            evaluations,
+            wall_ns,
+            ..OverheadAccount::new()
+        };
+        totals.actions[ActionKind::Report as usize] = 1;
+        totals
+    }
+
     #[test]
     fn publish_writes_reserved_keys() {
         let t = Telemetry::new();
-        t.m.evaluations.add(7);
-        t.m.eval_wall_hist.observe(100);
+        t.set_engine_counts(block(7, 0), 7);
+        t.eval_wall_hist.observe(100);
         let store = FeatureStore::new();
-        t.publish_registry(&store);
+        t.publish(&store);
         assert_eq!(store.load("__telemetry/engine/evaluations"), Some(7.0));
+        assert_eq!(store.load("__telemetry/vm/fused_evals"), Some(7.0));
+        assert_eq!(store.load("__telemetry/vm/fallback_evals"), Some(0.0));
+        assert_eq!(store.load("__telemetry/actions/report"), Some(1.0));
         assert_eq!(
             store.load("__telemetry/engine/eval_wall_ns_hist/count"),
             Some(1.0)
         );
+        assert_eq!(store.load("__telemetry/store/saves"), Some(0.0));
         assert_eq!(store.load("__telemetry/trace/recorded"), Some(0.0));
         // Publishing is repeatable (overwrite-in-place).
-        t.m.evaluations.inc();
-        t.publish_registry(&store);
+        t.set_engine_counts(block(8, 0), 7);
+        t.publish(&store);
         assert_eq!(store.load("__telemetry/engine/evaluations"), Some(8.0));
+        assert_eq!(store.load("__telemetry/vm/fallback_evals"), Some(1.0));
     }
 
     #[test]
     fn snapshot_is_deterministic_and_wall_free() {
         let t = Telemetry::new();
-        t.m.evaluations.add(3);
-        t.m.eval_wall_ns.add(12345); // Wall noise: not in the snapshot.
-        t.m.actions[ActionKind::Report as usize].inc();
+        t.set_engine_counts(block(3, 12345), 3); // Wall noise: not in the snapshot.
         t.trace.record(Nanos::ZERO, TraceKind::EvalStart, 0, 0.0);
         t.trace.record(Nanos::ZERO, TraceKind::Violation, 0, 0.0);
         let snap = t.snapshot();
@@ -383,9 +327,7 @@ mod tests {
         assert_eq!(snap.actions[0], 1);
         assert_eq!(snap.trace_marks, 1, "eval spans excluded");
         let t2 = Telemetry::new();
-        t2.m.evaluations.add(3);
-        t2.m.eval_wall_ns.add(99999);
-        t2.m.actions[ActionKind::Report as usize].inc();
+        t2.set_engine_counts(block(3, 99999), 3);
         t2.trace.record(Nanos::ZERO, TraceKind::EvalStart, 0, 0.0);
         t2.trace.record(Nanos::ZERO, TraceKind::Violation, 0, 0.0);
         assert_eq!(snap, t2.snapshot(), "wall time never enters the snapshot");

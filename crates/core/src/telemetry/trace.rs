@@ -2,18 +2,28 @@
 //!
 //! Writers claim a slot with one `fetch_add` and publish through a per-slot
 //! seqlock version word; every field is an `AtomicU64`, so recording an
-//! event is five relaxed/release atomic stores and zero allocation — cheap
-//! enough to sit on the engine's evaluation path. When the ring wraps, the
-//! oldest events are overwritten (the bounded overwrite-oldest policy):
-//! tracing never blocks and never grows.
+//! event is five atomic stores, one fence and zero allocation (plus one
+//! relaxed add counting it when it is not an eval span) — cheap enough to
+//! sit on the engine's evaluation path. When the ring wraps, the oldest
+//! events are overwritten (the bounded overwrite-oldest policy): tracing
+//! never blocks and never grows.
 //!
 //! Readers ([`TraceRing::snapshot`]) revalidate each slot's version after
-//! copying it and drop torn slots, so a concurrent writer can never smear a
-//! half-written event into an export. (With writers more numerous than the
-//! ring is deep, two lapped writers could in principle interleave on one
-//! slot; the version check discards such slots rather than mixing them.)
+//! copying it and drop slots a writer was rewriting, so one writer per slot
+//! can never smear a half-written event into an export. The fences follow
+//! Boehm, "Can Seqlocks Get Along with Programming Language Memory
+//! Models?" (MSPC 2012): a `Release` store of the odd version alone would
+//! let the field stores become visible before it, and an `Acquire` re-read
+//! alone would let the field loads move after it.
+//!
+//! The version word does not exclude writers from each other. Two writers
+//! one full ring apart (`seq` and `seq + capacity`) write the same slot at
+//! once; their field stores can interleave, and a reader can then accept
+//! a record that mixes both writers' fields under the version that
+//! survived. That takes more concurrent writers than the ring has slots
+//! (the engine records from one thread at a time), and it is not detected.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use simkernel::Nanos;
 
@@ -97,6 +107,8 @@ pub struct TraceRing {
     slots: Box<[Slot]>,
     head: AtomicU64,
     mask: usize,
+    /// Events recorded that are not eval spans.
+    marks: AtomicU64,
 }
 
 impl std::fmt::Debug for TraceRing {
@@ -124,6 +136,7 @@ impl TraceRing {
                 .collect(),
             head: AtomicU64::new(0),
             mask: capacity - 1,
+            marks: AtomicU64::new(0),
         }
     }
 
@@ -143,13 +156,25 @@ impl TraceRing {
         self.recorded().saturating_sub(self.slots.len() as u64)
     }
 
+    /// Events ever recorded that are not eval spans (violations, actions,
+    /// checkpoints, restarts), overwritten ones included.
+    pub fn marks(&self) -> u64 {
+        self.marks.load(Ordering::Relaxed)
+    }
+
     /// Records one event. Never blocks, never allocates; overwrites the
     /// oldest event once the ring is full.
     #[inline]
     pub fn record(&self, at: Nanos, kind: TraceKind, monitor: u32, value: f64) {
         let seq = self.head.fetch_add(1, Ordering::Relaxed);
+        if !matches!(kind, TraceKind::EvalStart | TraceKind::EvalEnd) {
+            self.marks.fetch_add(1, Ordering::Relaxed);
+        }
         let slot = &self.slots[(seq as usize) & self.mask];
-        slot.version.store(2 * seq + 1, Ordering::Release);
+        slot.version.store(2 * seq + 1, Ordering::Relaxed);
+        // Orders the odd version before the field stores (a `Release`
+        // store would only order what comes before it).
+        fence(Ordering::Release);
         slot.at.store(at.as_nanos(), Ordering::Relaxed);
         slot.kind_monitor.store(
             u64::from(kind as u8) | (u64::from(monitor) << 32),
@@ -159,8 +184,9 @@ impl TraceRing {
         slot.version.store(2 * seq + 2, Ordering::Release);
     }
 
-    /// Copies out the currently retained events, oldest first. Slots being
-    /// concurrently rewritten are skipped rather than returned torn.
+    /// Copies out the currently retained events, oldest first. Slots a
+    /// single writer is concurrently rewriting are skipped rather than
+    /// returned torn (see the module docs for racing writers).
     pub fn snapshot(&self) -> Vec<TraceEvent> {
         let head = self.head.load(Ordering::Acquire);
         let capacity = self.slots.len() as u64;
@@ -175,7 +201,10 @@ impl TraceRing {
             let at = slot.at.load(Ordering::Relaxed);
             let kind_monitor = slot.kind_monitor.load(Ordering::Relaxed);
             let value = slot.value.load(Ordering::Relaxed);
-            if slot.version.load(Ordering::Acquire) != v1 {
+            // Orders the field loads before the version re-read (an
+            // `Acquire` load would only order what comes after it).
+            fence(Ordering::Acquire);
+            if slot.version.load(Ordering::Relaxed) != v1 {
                 continue; // Torn by a concurrent overwrite.
             }
             let Some(kind) = TraceKind::from_u8((kind_monitor & 0xFF) as u8) else {

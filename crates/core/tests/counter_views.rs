@@ -7,14 +7,16 @@
 //! rules, a hysteresis-gated violation that fires actions, a fuel-starved
 //! rule that trips the watchdog, an uninstall, a publish, and a
 //! checkpoint/restore into a fresh engine — and after each one asserts that
-//! the views agree.
+//! the views agree. After each publish it also pins the full set of
+//! `__telemetry/` keys, so a key silently added or dropped fails here.
 
 use std::sync::Arc;
 
+use guardrails::compile::compile_str;
 use guardrails::monitor::engine::{EngineStats, FnEvent, MonitorEngine};
 use guardrails::monitor::resilience::{ResilienceConfig, WatchdogConfig};
 use guardrails::monitor::Hysteresis;
-use guardrails::telemetry::ActionKind;
+use guardrails::telemetry::{is_reserved, ActionKind, RESERVED_PREFIX};
 use guardrails::{FeatureStore, PolicyRegistry, Telemetry};
 use simkernel::Nanos;
 
@@ -40,6 +42,47 @@ guardrail tail-check {
     action: { SAVE(tail_bad, 1) }
 }
 "#;
+
+/// Every engine-wide key a publish writes, without the reserved prefix.
+const PUBLISHED: [&str; 27] = [
+    "engine/evaluations",
+    "engine/violations",
+    "engine/trips",
+    "engine/rule_fuel",
+    "engine/action_fuel",
+    "engine/batches",
+    "engine/batch_events",
+    "engine/eval_wall_ns",
+    "engine/eval_wall_ns_hist/count",
+    "engine/eval_wall_ns_hist/sum",
+    "engine/eval_wall_ns_hist/p50",
+    "engine/eval_wall_ns_hist/p95",
+    "engine/eval_wall_ns_hist/p99",
+    "engine/checkpoints",
+    "engine/restores",
+    "vm/fused_evals",
+    "vm/fallback_evals",
+    "actions/report",
+    "actions/replace",
+    "actions/retrain",
+    "actions/deprioritize",
+    "actions/save",
+    "actions/record",
+    "store/saves",
+    "store/shard_contention",
+    "trace/recorded",
+    "trace/overwritten",
+];
+
+/// The keys published for each live guardrail, under `guardrail/<name>/`.
+const PER_GUARDRAIL: [&str; 6] = [
+    "evaluations",
+    "rule_fuel",
+    "action_fuel",
+    "wall_ns",
+    "modeled_ns",
+    "overhead_fraction",
+];
 
 /// The counts a per-monitor block and the telemetry snapshot both carry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -166,6 +209,97 @@ impl Run {
         self.last_blocks = block_stats;
     }
 
+    /// Publishes, then checks the published keys: exactly the pinned set
+    /// (no `wal/*` key among them), the block-derived values against the
+    /// summed blocks, and `store/saves` against the store's count before
+    /// the publish wrote to it.
+    fn publish_and_check(&mut self, step: &str) {
+        let store = self.engine.store();
+        let saves_before = store.saves_total();
+        self.engine.publish_telemetry();
+        self.check(step);
+
+        let mut keys: Vec<String> = store
+            .scalars()
+            .into_iter()
+            .filter(|(k, _)| is_reserved(k))
+            .map(|(k, _)| k[RESERVED_PREFIX.len()..].to_string())
+            .collect();
+        keys.sort();
+        let mut expected: Vec<String> = PUBLISHED.iter().map(|k| k.to_string()).collect();
+        for name in self.engine.monitor_names() {
+            expected.extend(
+                PER_GUARDRAIL
+                    .iter()
+                    .map(|k| format!("guardrail/{name}/{k}")),
+            );
+        }
+        expected.sort();
+        assert_eq!(keys, expected, "{step}: the published key set");
+        assert!(
+            keys.iter().all(|k| !k.starts_with("wal/")),
+            "{step}: no WAL key is published"
+        );
+        assert_eq!(
+            store.saves_total(),
+            saves_before + keys.len() as u64,
+            "{step}: one save per published key"
+        );
+
+        let read = |key: &str| store.load(&format!("{RESERVED_PREFIX}{key}")).unwrap();
+        // The monitors whose every rule compiles to a fused stream.
+        let all_fused: Vec<String> = compile_str(SPECS)
+            .unwrap()
+            .into_iter()
+            .filter(|g| g.rules.iter().all(|r| !r.program.fused.is_empty()))
+            .map(|g| g.name)
+            .collect();
+        let blocks = summed_reports(&self.engine);
+        let reports = self.engine.overhead_reports();
+        let wall_ns: u64 = reports.iter().map(|r| r.account.wall_ns).sum();
+        let fused: u64 = reports
+            .iter()
+            .filter(|r| all_fused.contains(&r.guardrail))
+            .map(|r| r.account.evaluations)
+            .sum();
+        for (key, value) in [
+            ("engine/evaluations", blocks.evaluations),
+            ("engine/violations", blocks.violations),
+            ("engine/trips", blocks.trips),
+            ("engine/rule_fuel", blocks.rule_fuel),
+            ("engine/action_fuel", blocks.action_fuel),
+            ("engine/eval_wall_ns", wall_ns),
+            ("vm/fused_evals", fused),
+            ("vm/fallback_evals", blocks.evaluations - fused),
+            ("store/saves", saves_before),
+        ] {
+            assert_eq!(read(key), value as f64, "{step}: {key}");
+        }
+        for kind in ActionKind::ALL {
+            let key = format!("actions/{}", kind.name());
+            assert_eq!(
+                read(&key),
+                blocks.actions[kind as usize] as f64,
+                "{step}: {key}"
+            );
+        }
+        // Batch wall time is apportioned to the blocks by floor division,
+        // so the histogram's sum can only exceed theirs.
+        assert!(
+            read("engine/eval_wall_ns_hist/sum") >= wall_ns as f64,
+            "{step}: wall histogram sum"
+        );
+        for (key, value) in [
+            ("engine/batches", self.telemetry.batches.get()),
+            ("engine/batch_events", self.telemetry.batch_events.get()),
+            ("engine/checkpoints", self.telemetry.checkpoints.get()),
+            ("engine/restores", self.telemetry.restores.get()),
+            ("trace/recorded", self.telemetry.trace.recorded()),
+        ] {
+            assert_eq!(read(key), value as f64, "{step}: {key}");
+        }
+    }
+
     fn batch(&mut self, start_us: u64, args: &[[f64; 1]]) {
         let events: Vec<FnEvent<'_>> = args
             .iter()
@@ -239,9 +373,30 @@ fn every_counter_view_agrees_across_a_mixed_run() {
     assert!(retired.account.evaluations > 0);
 
     // Publication mirrors the snapshot into the store.
-    run.engine.publish_telemetry();
-    run.check("publish");
+    run.publish_and_check("publish");
     let snap = run.telemetry.snapshot();
+    // Three batches and one single event; one checkpoint so far; one wall
+    // sample per batch and per counted timer evaluation.
+    let timer_evals: u64 = run
+        .engine
+        .overhead_reports()
+        .iter()
+        .filter(|r| r.guardrail == "load-check" || r.guardrail == "tail-check")
+        .map(|r| r.account.evaluations)
+        .sum();
+    for (key, value) in [
+        ("engine/batches", 4.0),
+        ("engine/batch_events", 10.0),
+        ("engine/checkpoints", 1.0),
+        ("engine/restores", 0.0),
+        ("engine/eval_wall_ns_hist/count", (4 + timer_evals) as f64),
+    ] {
+        assert_eq!(
+            store.load(&format!("__telemetry/{key}")),
+            Some(value),
+            "{key}"
+        );
+    }
     assert_eq!(
         store.load("__telemetry/engine/evaluations"),
         Some(snap.evaluations as f64)
@@ -285,8 +440,8 @@ fn every_counter_view_agrees_across_a_mixed_run() {
     restarted.check("timers after restore");
     restarted.batch(1_300_000, &[[8192.0], [1.0]]);
     restarted.check("batch after restore");
-    restarted.engine.publish_telemetry();
-    restarted.check("publish after restore");
+    restarted.publish_and_check("publish after restore");
+    assert_eq!(store.load("__telemetry/engine/restores"), Some(1.0));
     assert_eq!(
         store.load("__telemetry/engine/evaluations"),
         Some(restarted.telemetry.snapshot().evaluations as f64)

@@ -6,12 +6,14 @@
 
 use std::sync::Arc;
 
+use guardrails::monitor::engine::MonitorEngine;
 use guardrails::store::durable::{
     DurabilityConfig, DurableStore, MemBackend, PersistBackend, Region,
 };
 use guardrails::store::snapshot::Snapshot;
 use guardrails::store::wal::{encode_frame, WalRecord};
 use guardrails::telemetry::{is_reserved, LogHistogram, Telemetry, TraceKind, TraceRing};
+use guardrails::PolicyRegistry;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use simkernel::Nanos;
@@ -171,9 +173,9 @@ fn reserved_saves_never_grow_the_wal() {
     );
 }
 
-/// A full `publish_registry` burst — every metric the engine registers —
-/// journals nothing, and compaction plus reopen leaves no telemetry residue
-/// in durable state.
+/// A full `publish_telemetry` burst — every key an engine publishes, its
+/// per-guardrail accounts included — journals nothing, and compaction plus
+/// reopen leaves no telemetry residue in durable state.
 #[test]
 fn published_telemetry_does_not_survive_compact_and_reopen() {
     let backend = Arc::new(MemBackend::new());
@@ -183,11 +185,25 @@ fn published_telemetry_does_not_survive_compact_and_reopen() {
         store.save("user_key", 7.0);
         let wal_before = backend.wal_len();
 
-        let telemetry = Telemetry::new();
-        telemetry.m.evaluations.add(41);
-        telemetry.m.eval_wall_hist.observe(1000);
-        telemetry.publish_registry(&store);
+        let mut engine = MonitorEngine::with_parts(store.clone(), Arc::new(PolicyRegistry::new()));
+        engine.set_telemetry(Telemetry::new());
+        engine
+            .install_str(
+                "guardrail healthy { trigger: { FUNCTION(io) }, rule: { ARG(0) >= 0 }, \
+                 action: { SAVE(never, 1) } }",
+            )
+            .unwrap();
+        for i in 0..41 {
+            engine.on_function("io", Nanos::from_micros(i), &[1.0]);
+        }
+        engine.checkpoint();
+        engine.publish_telemetry();
         assert_eq!(backend.wal_len(), wal_before, "publishing journals nothing");
+        assert_eq!(store.load("__telemetry/engine/evaluations"), Some(41.0));
+        assert_eq!(
+            store.load("__telemetry/engine/eval_wall_ns_hist/count"),
+            Some(41.0)
+        );
         assert!(
             store.scalars().iter().any(|(k, _)| is_reserved(k)),
             "the publish did land in the store"
