@@ -22,6 +22,24 @@ if [ "${test_count}" -ne "${baseline}" ]; then
     exit 1
 fi
 
+# The benchmark harness (grbench/, run by BENCHMARK.json) is its own cargo
+# workspace that path-depends on core, simkernel and storagesim, so
+# `--workspace` above does not build it: a change that breaks it would
+# otherwise pass. Build and test it against this tree in a temporary target
+# dir, then put back the Cargo.lock an offline build rewrites, so no file
+# under grbench/ changes.
+grbench_target="$(mktemp -d)"
+cp grbench/Cargo.lock "${grbench_target}/Cargo.lock.orig"
+restore_grbench_lock() {
+    cp "${grbench_target}/Cargo.lock.orig" grbench/Cargo.lock
+    rm -rf "${grbench_target}"
+}
+trap restore_grbench_lock EXIT
+CARGO_TARGET_DIR="${grbench_target}" \
+    cargo test --release --offline --manifest-path grbench/Cargo.toml
+restore_grbench_lock
+trap - EXIT
+
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all --check
 
@@ -83,9 +101,10 @@ git diff --exit-code -- results/exp_hotpath.csv || {
 }
 
 # E12 determinism + telemetry invariants: the binary asserts telemetry-on
-# ingestion stays within 3% of telemetry-off with bit-identical outputs,
-# and that the overhead-budget guardrail demotes the hog monitor; its CSV
-# holds only deterministic counters and must be byte-identical every run.
+# ingestion stays within 3% of telemetry-off (median of per-pair on/off
+# wall-time ratios over alternating pairs) with bit-identical outputs, and
+# that the overhead-budget guardrail demotes the hog monitor; its CSV holds
+# only deterministic counters and must be byte-identical every run.
 cargo run --release -p gr-bench --bin exp_telemetry >/dev/null
 git diff --exit-code -- results/exp_telemetry.csv || {
     echo "exp_telemetry.csv changed: E12 is no longer deterministic (or the" \

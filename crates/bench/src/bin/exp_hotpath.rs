@@ -11,9 +11,10 @@
 //!    plus the two per-evaluation wall-clock reads and the SipHash
 //!    hook-table lookup the old engine performed (both were removed by the
 //!    overhaul, so they are re-enacted explicitly here — see
-//!    `legacy_overhead`). The *overhauled* run uses `on_function_batch`
-//!    over 256-event batches, fused superinstructions, and a reused drain
-//!    buffer. Both runs must be observationally identical — same
+//!    `legacy_overhead`). The *overhauled* run is E12's harness
+//!    (`gr_bench::ingest`): `on_function_batch` over 256-event batches,
+//!    fused superinstructions, and a reused drain buffer, timing the
+//!    engine's ingest and drain of each batch. Both runs must be observationally identical — same
 //!    violations, same store state, same deterministic stats; only wall
 //!    time may differ.
 //! 2. **Store scaling**: the lock-striped, Fx-hashed store is hammered
@@ -33,82 +34,17 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
+use gr_bench::ingest::{
+    build_engine, fingerprint, ingest_interleaved, workload, xorshift, BATCH, EVENTS, HOT_HOOK,
+};
 use gr_bench::{row, write_results};
-use guardrails::compile::{compile, CompileOptions};
-use guardrails::monitor::engine::{FnEvent, MonitorEngine};
-use guardrails::spec::parse_and_check;
+use guardrails::compile::CompileOptions;
+use guardrails::monitor::engine::MonitorEngine;
 use guardrails::store::durable::{DurabilityConfig, DurableStore, MemBackend, PersistBackend};
-use guardrails::{FeatureStore, PolicyRegistry, Telemetry};
+use guardrails::FeatureStore;
 use simkernel::Nanos;
 
 const SEED: u64 = 0xE11;
-const EVENTS: usize = 100_000;
-const BATCH: usize = 256;
-const HOT_HOOK: &str = "io_submit";
-
-/// Four monitors on the hot hook (argument rules fuse to single
-/// superinstructions; the store rule fuses a load-compare) plus bystanders
-/// on other hooks so dispatch exercises index misses too.
-const SPECS: &str = r#"
-guardrail io-size { trigger: { FUNCTION(io_submit) }, rule: { ARG(0) <= 4096 }, action: { RECORD(oversized, 1) } }
-guardrail io-latency { trigger: { FUNCTION(io_submit) }, rule: { ARG(1) < 900 }, action: { RECORD(slow_ios, 1) } }
-guardrail queue-depth { trigger: { FUNCTION(io_submit) }, rule: { LOAD(qdepth) < 64 }, action: { RECORD(deep_queue, 1) } }
-guardrail sane-size { trigger: { FUNCTION(io_submit) }, rule: { ARG(0) >= 0 }, action: { RECORD(negative_size, 1) } }
-guardrail bystander-a { trigger: { FUNCTION(mem_place) }, rule: { ARG(0) < 1e9 }, action: { RECORD(a_hits, 1) } }
-guardrail bystander-b { trigger: { FUNCTION(net_poll) }, rule: { ARG(0) < 1e9 }, action: { RECORD(b_hits, 1) } }
-"#;
-
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
-/// One synthetic I/O submission: (size, latency) arguments.
-fn workload() -> Vec<[f64; 2]> {
-    let mut state = SEED;
-    (0..EVENTS)
-        .map(|_| {
-            let size = (xorshift(&mut state) % 4200) as f64;
-            let lat = (xorshift(&mut state) % 1000) as f64;
-            [size, lat]
-        })
-        .collect()
-}
-
-fn build_engine(fuse: bool) -> MonitorEngine {
-    let mut engine = MonitorEngine::with_parts(
-        Arc::new(FeatureStore::new()),
-        Arc::new(PolicyRegistry::new()),
-    );
-    let opts = CompileOptions {
-        optimize: fuse,
-        fuse,
-        ..CompileOptions::default()
-    };
-    let checked = parse_and_check(SPECS).expect("specs parse");
-    for guardrail in compile(&checked, &opts).expect("specs compile") {
-        engine.install(guardrail).expect("specs install");
-    }
-    engine.store().save("qdepth", 5.0);
-    engine
-}
-
-/// Everything observable about a run except wall-clock noise.
-fn fingerprint(engine: &MonitorEngine) -> (u64, u64, u64, Vec<(String, f64)>) {
-    let stats = engine.stats();
-    let mut scalars = engine.store().scalars();
-    scalars.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
-    (
-        stats.evaluations,
-        stats.violations,
-        engine.violation_log().total(),
-        scalars,
-    )
-}
 
 /// Re-enacts the per-event costs the overhaul deleted from the engine, so
 /// the legacy run pays what the pre-overhaul engine actually paid:
@@ -126,7 +62,12 @@ fn legacy_overhead(hook_table: &HashMap<String, Vec<usize>>) {
 /// Legacy ingestion: per-event delivery, unfused monitors, fresh drain per
 /// event.
 fn run_legacy(events: &[[f64; 2]]) -> (MonitorEngine, u64) {
-    let mut engine = build_engine(false);
+    let unfused = CompileOptions {
+        optimize: false,
+        fuse: false,
+        ..CompileOptions::default()
+    };
+    let mut engine = build_engine(&unfused, false);
     let hook_table: HashMap<String, Vec<usize>> = [
         (HOT_HOOK.to_string(), vec![0, 1, 2, 3]),
         ("mem_place".to_string(), vec![4]),
@@ -151,28 +92,8 @@ fn run_legacy(events: &[[f64; 2]]) -> (MonitorEngine, u64) {
 /// Telemetry rides along (E12 shows it costs < 3%) so the fused-vs-fallback
 /// dispatch split is visible on stderr; its counters never enter the CSV.
 fn run_hot(events: &[[f64; 2]]) -> (MonitorEngine, u64) {
-    let mut engine = build_engine(true);
-    engine.set_telemetry(Telemetry::new());
-    let mut cmd_buf = Vec::new();
-    let mut batch: Vec<FnEvent<'_>> = Vec::with_capacity(BATCH);
-    let started = Instant::now();
-    let mut now = Nanos::ZERO;
-    for chunk in events.chunks(BATCH) {
-        batch.clear();
-        let base = now;
-        batch.extend(chunk.iter().enumerate().map(|(i, args)| FnEvent {
-            now: base + Nanos::from_micros(i as u64 + 1),
-            args: &args[..],
-        }));
-        now = base + Nanos::from_micros(chunk.len() as u64);
-        engine.on_function_batch(HOT_HOOK, &batch);
-        cmd_buf.clear();
-        engine.drain_commands_into(&mut cmd_buf);
-        for command in &cmd_buf {
-            black_box(command);
-        }
-    }
-    let wall = started.elapsed().as_nanos() as u64;
+    let mut engine = build_engine(&CompileOptions::default(), true);
+    let wall = ingest_interleaved(std::slice::from_mut(&mut engine), events)[0];
     (engine, wall)
 }
 
@@ -241,7 +162,7 @@ fn main() {
     let mut csv = String::from("section,metric,value\n");
 
     // ---- Section 1: event ingestion ------------------------------------
-    let events = workload();
+    let events = workload(SEED);
     // Interleave repetitions and keep the best of each, so one scheduling
     // hiccup cannot decide the comparison.
     let mut legacy_wall = u64::MAX;

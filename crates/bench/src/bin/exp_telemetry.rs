@@ -2,17 +2,18 @@
 //!
 //! Two sections:
 //!
-//! 1. **Overhead**: the E11 ingestion workload (100k events, 256-event
-//!    batches, four monitors on the hot hook) runs with and without a
-//!    [`Telemetry`] bundle attached. Runs are interleaved and the best of
-//!    five kept, and the whole measurement is repeated (up to five
-//!    attempts, keeping the lowest overhead seen) when a noisy scheduler
-//!    inflates it — noise only ever *adds* wall time, so the minimum over
-//!    attempts converges on the true cost while a single hiccup cannot
-//!    fail the gate. Telemetry must cost < 3%, and the user-visible outputs
-//!    (violations, store state with `__telemetry/` keys filtered out) must
-//!    be identical — attaching observability may not change behavior, even
-//!    after an explicit `publish_telemetry`.
+//! 1. **Overhead**: the E11 ingestion workload (`gr_bench::ingest`: 100k
+//!    events, 256-event batches, four monitors on the hot hook) runs with
+//!    and without a [`Telemetry`] bundle attached, in a fixed number of
+//!    pairs. Each pair feeds the same events to a telemetry-off and a
+//!    telemetry-on engine batch by batch, alternating which takes a batch
+//!    first, and yields one on/off wall-time ratio: host noise that
+//!    outlasts a batch lands on both flavors alike. The gate is the median
+//!    ratio over the pairs, so a hiccup in a few pairs cannot move it.
+//!    Telemetry must cost < 3% by that median, and
+//!    the user-visible outputs (violations, store state with `__telemetry/`
+//!    keys filtered out) must be identical — attaching observability may
+//!    not change behavior, even after an explicit `publish_telemetry`.
 //! 2. **Overhead guardrail** (the paper's loop, closed): a deliberately
 //!    hot "hog" monitor ticks every microsecond burning rule fuel; a
 //!    budget guardrail `LOAD`s the published
@@ -23,42 +24,24 @@
 //!
 //! The CSV (`results/exp_telemetry.csv`) contains only deterministic
 //! columns — counter values, identity flags, trip counts. Measured
-//! nanoseconds and the overhead percentage go to stdout only.
+//! nanoseconds, the median overhead and its interquartile range go to stdout
+//! only.
 
-use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
 
+use gr_bench::ingest::{build_engine, fingerprint, ingest_interleaved, workload, BATCH, EVENTS};
 use gr_bench::{row, write_results};
 use guardrails::action::Command;
-use guardrails::compile::{compile, CompileOptions};
-use guardrails::monitor::engine::{FnEvent, MonitorEngine};
-use guardrails::spec::parse_and_check;
-use guardrails::telemetry::is_reserved;
-use guardrails::{FeatureStore, PolicyRegistry, Telemetry, TelemetrySnapshot};
+use guardrails::compile::CompileOptions;
+use guardrails::monitor::engine::MonitorEngine;
+use guardrails::{Telemetry, TelemetrySnapshot};
 use simkernel::Nanos;
 
 const SEED: u64 = 0xE12;
-const EVENTS: usize = 100_000;
-const BATCH: usize = 256;
-const REPS: usize = 5;
-/// Re-measure up to this many times when the overhead reading comes back
-/// above budget: scheduler noise only inflates wall time, so the minimum
-/// across attempts estimates the true cost.
-const ATTEMPTS: usize = 5;
+/// Telemetry-off/on pairs measured; odd, so the median is one pair's ratio.
+const PAIRS: usize = 41;
 /// The P5 budget the ingestion comparison is held to.
 const OVERHEAD_BUDGET: f64 = 0.03;
-const HOT_HOOK: &str = "io_submit";
-
-/// The E11 workload shape: four monitors on the hot hook, two bystanders.
-const SPECS: &str = r#"
-guardrail io-size { trigger: { FUNCTION(io_submit) }, rule: { ARG(0) <= 4096 }, action: { RECORD(oversized, 1) } }
-guardrail io-latency { trigger: { FUNCTION(io_submit) }, rule: { ARG(1) < 900 }, action: { RECORD(slow_ios, 1) } }
-guardrail queue-depth { trigger: { FUNCTION(io_submit) }, rule: { LOAD(qdepth) < 64 }, action: { RECORD(deep_queue, 1) } }
-guardrail sane-size { trigger: { FUNCTION(io_submit) }, rule: { ARG(0) >= 0 }, action: { RECORD(negative_size, 1) } }
-guardrail bystander-a { trigger: { FUNCTION(mem_place) }, rule: { ARG(0) < 1e9 }, action: { RECORD(a_hits, 1) } }
-guardrail bystander-b { trigger: { FUNCTION(net_poll) }, rule: { ARG(0) < 1e9 }, action: { RECORD(b_hits, 1) } }
-"#;
 
 /// A monitor that burns noticeable rule fuel every microsecond: the rule is
 /// a tautology (so it never fires its action) whose only purpose is cost.
@@ -82,130 +65,38 @@ guardrail overhead-budget {
 }
 "#;
 
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
-fn workload() -> Vec<[f64; 2]> {
-    let mut state = SEED;
-    (0..EVENTS)
-        .map(|_| {
-            let size = (xorshift(&mut state) % 4200) as f64;
-            let lat = (xorshift(&mut state) % 1000) as f64;
-            [size, lat]
-        })
-        .collect()
-}
-
-fn build_engine(telemetry: bool) -> MonitorEngine {
-    let mut engine = MonitorEngine::with_parts(
-        Arc::new(FeatureStore::new()),
-        Arc::new(PolicyRegistry::new()),
-    );
-    if telemetry {
-        engine.set_telemetry(Telemetry::new());
-    }
-    let checked = parse_and_check(SPECS).expect("specs parse");
-    for guardrail in compile(&checked, &CompileOptions::default()).expect("specs compile") {
-        engine.install(guardrail).expect("specs install");
-    }
-    engine.store().save("qdepth", 5.0);
-    engine
-}
-
-/// Everything user-visible about a run. `__telemetry/` keys are filtered:
-/// the reserved namespace is observability, not behavior.
-fn fingerprint(engine: &MonitorEngine) -> (u64, u64, u64, Vec<(String, f64)>) {
-    let stats = engine.stats();
-    let mut scalars = engine.store().scalars();
-    scalars.retain(|(key, _)| !is_reserved(key));
-    scalars.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
-    (
-        stats.evaluations,
-        stats.violations,
-        engine.violation_log().total(),
-        scalars,
-    )
-}
-
-/// Batched ingestion, identical to E11's overhauled path.
-fn run_ingest(events: &[[f64; 2]], telemetry: bool) -> (MonitorEngine, u64) {
-    let mut engine = build_engine(telemetry);
-    let mut cmd_buf = Vec::new();
-    let mut batch: Vec<FnEvent<'_>> = Vec::with_capacity(BATCH);
-    let started = Instant::now();
-    let mut now = Nanos::ZERO;
-    for chunk in events.chunks(BATCH) {
-        batch.clear();
-        let base = now;
-        batch.extend(chunk.iter().enumerate().map(|(i, args)| FnEvent {
-            now: base + Nanos::from_micros(i as u64 + 1),
-            args: &args[..],
-        }));
-        now = base + Nanos::from_micros(chunk.len() as u64);
-        engine.on_function_batch(HOT_HOOK, &batch);
-        cmd_buf.clear();
-        engine.drain_commands_into(&mut cmd_buf);
-        for command in &cmd_buf {
-            black_box(command);
-        }
-    }
-    let wall = started.elapsed().as_nanos() as u64;
-    (engine, wall)
-}
-
-/// One interleaved best-of-[`REPS`] comparison: returns the overhead
-/// fraction, the best wall times, and the final engine of each flavor.
-fn measure_overhead(events: &[[f64; 2]]) -> (f64, u64, u64, MonitorEngine, MonitorEngine) {
-    let mut off_wall = u64::MAX;
-    let mut on_wall = u64::MAX;
-    let mut off_engine = None;
-    let mut on_engine = None;
-    for _ in 0..REPS {
-        let (engine, wall) = run_ingest(events, false);
-        off_wall = off_wall.min(wall);
-        off_engine = Some(engine);
-        let (engine, wall) = run_ingest(events, true);
-        on_wall = on_wall.min(wall);
-        on_engine = Some(engine);
-    }
-    let overhead = (on_wall as f64 - off_wall as f64) / off_wall.max(1) as f64;
-    (
-        overhead,
-        off_wall,
-        on_wall,
-        off_engine.expect("telemetry-off run"),
-        on_engine.expect("telemetry-on run"),
-    )
+/// The nearest-rank `q`-quantile of `sorted` (ascending).
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
 }
 
 fn main() {
     let mut csv = String::from("section,metric,value\n");
 
     // ---- Section 1: telemetry overhead on the E11 workload --------------
-    let events = workload();
-    let mut best = measure_overhead(&events);
-    for attempt in 2..=ATTEMPTS {
-        if best.0 < OVERHEAD_BUDGET {
-            break;
-        }
-        eprintln!(
-            "[exp_telemetry] attempt {}: {:+.2}% over budget — remeasuring \
-             (scheduler noise only ever inflates the reading)",
-            attempt - 1,
-            best.0 * 100.0
-        );
-        let next = measure_overhead(&events);
-        if next.0 < best.0 {
-            best = next;
-        }
+    let events = workload(SEED);
+    let mut ratios = Vec::with_capacity(PAIRS);
+    let (mut off_walls, mut on_walls) = (Vec::new(), Vec::new());
+    let mut last = None;
+    for _ in 0..PAIRS {
+        // One pair ingests the same events into a telemetry-off and a
+        // telemetry-on engine, batch by batch, alternating which goes first.
+        let mut engines = [false, true].map(|on| build_engine(&CompileOptions::default(), on));
+        let [off, on] = ingest_interleaved(&mut engines, &events)[..] else {
+            unreachable!("one wall time per engine")
+        };
+        ratios.push(on as f64 / off.max(1) as f64);
+        off_walls.push(off as f64);
+        on_walls.push(on as f64);
+        last = Some(engines);
     }
-    let (overhead, off_wall, on_wall, off_engine, on_engine) = best;
+    let [off_engine, on_engine] = last.expect("at least one pair");
+    ratios.sort_by(f64::total_cmp);
+    off_walls.sort_by(f64::total_cmp);
+    on_walls.sort_by(f64::total_cmp);
+    let overhead = quantile(&ratios, 0.5) - 1.0;
+    let overhead_iqr = quantile(&ratios, 0.75) - quantile(&ratios, 0.25);
+    let (off_wall, on_wall) = (quantile(&off_walls, 0.5), quantile(&on_walls, 0.5));
 
     let off_print = fingerprint(&off_engine);
     // Publishing writes only reserved keys, so the filtered fingerprint
@@ -228,10 +119,7 @@ fn main() {
         "ingest,outputs_identical,{}\n",
         u8::from(identical)
     ));
-    eprintln!(
-        "[exp_telemetry] ingest: off {off_wall} ns, on {on_wall} ns ({:+.2}%)",
-        overhead * 100.0
-    );
+    eprintln!("[exp_telemetry] ingest: median off {off_wall} ns, on {on_wall} ns");
 
     // ---- Section 2: the overhead guardrail ------------------------------
     let t = Telemetry::new();
@@ -311,12 +199,18 @@ fn main() {
         row(
             &[
                 "ingest ns/event".into(),
-                format!("{:.1}", off_wall as f64 / EVENTS as f64),
-                format!("{:.1}", on_wall as f64 / EVENTS as f64),
+                format!("{:.1}", off_wall / EVENTS as f64),
+                format!("{:.1}", on_wall / EVENTS as f64),
                 format!("{:+.2}%", overhead * 100.0),
             ],
             &widths
         )
+    );
+    println!(
+        "telemetry overhead: median {:+.2}%, IQR {:.2} pp (per-pair on/off ratios, \
+         {PAIRS} alternating pairs)",
+        overhead * 100.0,
+        overhead_iqr * 100.0
     );
     println!("wrote {}", path.display());
 
@@ -337,8 +231,9 @@ fn main() {
     assert!(
         overhead < OVERHEAD_BUDGET,
         "telemetry must cost < 3% on the ingestion workload, got {:+.2}% \
-         (minimum over {ATTEMPTS} interleaved best-of-{REPS} attempts)",
-        overhead * 100.0
+         (median on/off ratio over {PAIRS} alternating pairs, IQR {:.2} pp)",
+        overhead * 100.0,
+        overhead_iqr * 100.0
     );
     assert!(
         deprioritize_cmds >= 1,

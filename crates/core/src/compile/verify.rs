@@ -19,6 +19,13 @@
 use crate::compile::ir::{Op, Program};
 use crate::error::{GuardrailError, Result};
 
+/// The maximum number of numeric arguments a `FUNCTION` trigger's hook
+/// delivers, so `ARG(i)` verifies only for `i < MAX_TRACE_ARGS`.
+///
+/// Mirrors the fixed argument budget of kernel tracepoints; keeping it small
+/// bounds the per-event cost of monitoring (a P5 concern).
+pub const MAX_TRACE_ARGS: usize = 8;
+
 /// Resource limits the verifier enforces.
 #[derive(Clone, Copy, Debug)]
 pub struct VerifyLimits {
@@ -53,8 +60,9 @@ pub enum ExpectedType {
 
 /// Abstract value types tracked on the verifier's stack.
 ///
-/// `Any` covers immediates (`Push`), which are used for both numbers and the
-/// 0/1 boolean encoding; it unifies with either concrete type.
+/// `Any` covers the immediates `0` and `1` (`Push`), which encode both those
+/// numbers and the booleans `false`/`true`; it unifies with either concrete
+/// type. Every other immediate is a `Num`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Ty {
     Num,
@@ -150,14 +158,18 @@ pub fn verify_named(
                 if !v.is_finite() {
                     return Err(err(format!("non-finite immediate at instruction {i}")));
                 }
-                stack.push(Ty::Any);
+                stack.push(if v == 0.0 || v == 1.0 {
+                    Ty::Any
+                } else {
+                    Ty::Num
+                });
             }
             Op::Load(k) | Op::Ewma(k) | Op::Delta(k) => {
                 check_key(program, k, i, &err)?;
                 stack.push(Ty::Num);
             }
             Op::Arg(a) => {
-                if usize::from(a) >= simkernel::hook::MAX_TRACE_ARGS {
+                if usize::from(a) >= MAX_TRACE_ARGS {
                     return Err(err(format!(
                         "ARG({a}) exceeds the tracepoint argument budget at instruction {i}"
                     )));
@@ -465,6 +477,45 @@ mod tests {
         };
         assert!(verify(&boolean, ExpectedType::Num, &limits()).is_err());
         assert!(verify(&boolean, ExpectedType::Bool, &limits()).is_ok());
+    }
+
+    #[test]
+    fn only_zero_and_one_immediates_type_as_booleans() {
+        let program = |ops: Vec<Op>| Program {
+            ops,
+            keys: vec![],
+            fused: vec![],
+        };
+        for ops in [
+            vec![Op::Push(0.5)],
+            vec![Op::Push(-1.0)],
+            vec![Op::Push(1e300)],
+            vec![Op::Push(0.5), Op::JumpIfTruePeek(2)],
+        ] {
+            let p = program(ops.clone());
+            assert!(
+                verify(&p, ExpectedType::Bool, &limits()).is_err(),
+                "{ops:?} verified as Bool"
+            );
+        }
+        for v in [0.0, 1.0] {
+            let p = program(vec![Op::Push(v)]);
+            assert!(verify(&p, ExpectedType::Bool, &limits()).is_ok(), "{v}");
+        }
+        assert!(verify(&program(vec![Op::Push(0.5)]), ExpectedType::Num, &limits()).is_ok());
+    }
+
+    #[test]
+    fn rejects_args_past_the_tracepoint_budget() {
+        let arg = |a: u8| Program {
+            ops: vec![Op::Arg(a)],
+            keys: vec![],
+            fused: vec![],
+        };
+        let last = u8::try_from(MAX_TRACE_ARGS - 1).unwrap();
+        assert!(verify(&arg(last), ExpectedType::Num, &limits()).is_ok());
+        let err = verify(&arg(last + 1), ExpectedType::Num, &limits()).unwrap_err();
+        assert!(format!("{err}").contains("argument budget"), "{err}");
     }
 
     #[test]

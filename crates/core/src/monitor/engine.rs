@@ -251,10 +251,8 @@ impl MonitorEngine {
         self.resilience = resilience;
     }
 
-    /// Applies the engine-scoped axes of a [`RuntimeConfig`] in one call:
-    /// the resilience bundle and the store quarantine. The `recovery` axis
-    /// wraps engine *construction* (durable store, supervisor) and is
-    /// consumed by the host that owns the engine's lifecycle.
+    /// Applies a [`RuntimeConfig`] in one call: the resilience bundle and
+    /// the store quarantine.
     pub fn apply_runtime(&mut self, config: &RuntimeConfig) {
         self.resilience = config.resilience;
         self.store.set_quarantine(config.quarantine);

@@ -13,11 +13,14 @@
 //! - [`ResilienceConfig`] — the bundle the engine consumes; [`hardened`]
 //!   turns everything on, [`Default`] leaves everything off so the seed
 //!   semantics are unchanged.
-//! - [`RuntimeConfig`] — the one composable builder over *all* runtime
-//!   hardening axes: the store's non-finite quarantine, the in-flight fault
-//!   resilience above, and the crash-recovery layer
-//!   ([`RecoveryConfig`]: durable store + supervisor). Hosts apply one
-//!   value instead of toggling each subsystem ad hoc.
+//! - [`RuntimeConfig`] — the engine-scoped hardening axes in one value:
+//!   the store's non-finite quarantine and the in-flight fault resilience
+//!   above, applied together by
+//!   [`MonitorEngine::apply_runtime`](crate::monitor::MonitorEngine::apply_runtime).
+//! - [`RecoveryConfig`] — the crash-recovery layer (durable store +
+//!   supervisor), consumed by whoever owns the engine's lifecycle: it wraps
+//!   construction, not a running engine. A recovery that finds damage it
+//!   cannot vouch for always boots fail-closed.
 //!
 //! [`hardened`]: ResilienceConfig::hardened
 
@@ -152,52 +155,34 @@ impl ResilienceConfig {
 
 /// Crash-recovery configuration: the durable feature store plus the
 /// supervised restart loop.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryConfig {
     /// WAL/snapshot knobs for the durable store.
     pub durability: DurabilityConfig,
     /// Restart-loop and escalation policy.
     pub supervisor: SupervisorConfig,
-    /// Boot fail-closed (policies pinned to fallbacks) when recovery found
-    /// damage it cannot vouch for — a corrupt snapshot or WAL frame — rather
-    /// than trusting half-restored state.
-    pub fail_closed_on_taint: bool,
 }
 
-impl Default for RecoveryConfig {
-    /// Default durability and supervisor policies; fail closed on taint.
-    fn default() -> Self {
-        RecoveryConfig {
-            durability: DurabilityConfig::default(),
-            supervisor: SupervisorConfig::default(),
-            fail_closed_on_taint: true,
-        }
-    }
-}
-
-/// The single composable runtime-hardening configuration.
+/// The engine-scoped runtime-hardening configuration.
 ///
-/// One builder covers the three orthogonal axes a host previously toggled
-/// separately: the store quarantine (`store.set_quarantine`), the engine's
-/// in-flight fault resilience (`engine.set_resilience`), and — new in the
-/// crash-recovery layer — durable-store/supervisor recovery. The
-/// engine-scoped axes are applied with
-/// [`MonitorEngine::apply_runtime`](crate::monitor::MonitorEngine::apply_runtime);
-/// `recovery` is consumed by whoever owns the engine's lifecycle (it wraps
-/// construction, not a running engine).
+/// One value covers the two axes a host would otherwise toggle separately:
+/// the store quarantine (`store.set_quarantine`) and the engine's in-flight
+/// fault resilience (`engine.set_resilience`). Apply it with
+/// [`MonitorEngine::apply_runtime`](crate::monitor::MonitorEngine::apply_runtime).
 ///
 /// # Examples
 ///
 /// ```
-/// use guardrails::monitor::resilience::{RecoveryConfig, RuntimeConfig};
+/// use guardrails::monitor::resilience::{ResilienceConfig, RuntimeConfig};
 ///
 /// // The paper's unhardened baseline.
 /// let seed = RuntimeConfig::seed();
 /// assert!(!seed.quarantine);
 ///
-/// // Everything on: quarantine + resilience + crash recovery.
-/// let full = RuntimeConfig::hardened().with_recovery(RecoveryConfig::default());
-/// assert!(full.quarantine && full.recovery.is_some());
+/// // Quarantine and in-flight resilience on.
+/// let hardened = RuntimeConfig::hardened();
+/// assert!(hardened.quarantine);
+/// assert_eq!(hardened.resilience, ResilienceConfig::hardened());
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RuntimeConfig {
@@ -205,9 +190,6 @@ pub struct RuntimeConfig {
     pub quarantine: bool,
     /// In-flight fault hardening (retry/fallback/watchdog).
     pub resilience: ResilienceConfig,
-    /// Crash-recovery layer; `None` = process-lifetime state (seed
-    /// semantics).
-    pub recovery: Option<RecoveryConfig>,
 }
 
 impl Default for RuntimeConfig {
@@ -218,42 +200,27 @@ impl Default for RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// The seed runtime: no quarantine, no resilience, no recovery — the
-    /// paper's baseline semantics, and the contrast arm in the fault and
-    /// recovery experiments.
+    /// The seed runtime: no quarantine, no resilience — the paper's baseline
+    /// semantics, and the contrast arm in the fault and recovery
+    /// experiments.
     pub fn seed() -> Self {
         RuntimeConfig {
             quarantine: false,
             resilience: ResilienceConfig::disabled(),
-            recovery: None,
         }
     }
 
-    /// Quarantine and in-flight resilience on, recovery off (the PR-1
-    /// hardened runtime).
+    /// Quarantine and in-flight resilience on.
     pub fn hardened() -> Self {
         RuntimeConfig {
             quarantine: true,
             resilience: ResilienceConfig::hardened(),
-            recovery: None,
         }
-    }
-
-    /// Returns this config with the quarantine toggled.
-    pub fn with_quarantine(mut self, enabled: bool) -> Self {
-        self.quarantine = enabled;
-        self
     }
 
     /// Returns this config with a different resilience bundle.
     pub fn with_resilience(mut self, resilience: ResilienceConfig) -> Self {
         self.resilience = resilience;
-        self
-    }
-
-    /// Returns this config with crash recovery enabled.
-    pub fn with_recovery(mut self, recovery: RecoveryConfig) -> Self {
-        self.recovery = Some(recovery);
         self
     }
 }

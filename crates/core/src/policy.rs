@@ -1,47 +1,17 @@
-//! Learned policies, fallbacks, and the registry the `REPLACE` action drives.
+//! The policy registry the `REPLACE` action drives.
 //!
 //! "Most systems deploying learned policies supplement but do not replace
-//! existing ones" (§3.2): a [`GuardedPolicy`] owns both a learned policy and
-//! its heuristic fallback, and consults the shared [`PolicyRegistry`] on
-//! every decision to know which is active. The `REPLACE(slot, variant)`
-//! action swaps the active variant in the registry; the policy object itself
-//! never moves, so swaps are cheap and atomic.
+//! existing ones" (§3.2): each substrate keeps both its learned policy and
+//! its heuristic fallback, and gates every decision on the shared
+//! [`PolicyRegistry`] (`registry.is_active(slot, VARIANT_LEARNED)`). The
+//! `REPLACE(slot, variant)` action swaps the active variant in the registry;
+//! the policies themselves never move, so swaps are cheap and atomic.
 
 use std::collections::HashMap;
-use std::fmt;
-use std::sync::Arc;
 
 use parking_lot::RwLock;
 
 use crate::error::{GuardrailError, Result};
-
-/// A decision-making policy: maps a feature vector to a decision value.
-///
-/// The decision encoding is subsystem-specific (LinnOS: probability the I/O
-/// will be slow; scheduler: predicted burst length; ...). Policies also
-/// expose an inference-cost estimate so the engine can account P5 overhead.
-pub trait LearnedPolicy {
-    /// Computes a decision for `features`.
-    fn decide(&mut self, features: &[f64]) -> f64;
-    /// Estimated cost of one inference in simulated nanoseconds.
-    fn inference_cost(&self) -> u64 {
-        1_000
-    }
-    /// Retrains/refreshes the policy (the `RETRAIN` action's entry point).
-    fn retrain(&mut self) {}
-}
-
-/// A known-safe fallback policy (usually a hand-coded heuristic).
-pub trait FallbackPolicy {
-    /// Computes the fallback decision for `features`.
-    fn decide(&mut self, features: &[f64]) -> f64;
-}
-
-impl<F: FnMut(&[f64]) -> f64> FallbackPolicy for F {
-    fn decide(&mut self, features: &[f64]) -> f64 {
-        self(features)
-    }
-}
 
 /// The canonical variant name for the learned policy in a slot.
 pub const VARIANT_LEARNED: &str = "learned";
@@ -290,102 +260,9 @@ impl PolicyRegistry {
     }
 }
 
-/// A policy pair (learned + fallback) gated by the registry.
-///
-/// Subsystems call [`GuardedPolicy::decide`] on their decision path; the
-/// wrapper dispatches to whichever variant the registry says is active and
-/// tracks how many decisions each variant served.
-pub struct GuardedPolicy<L, F> {
-    slot: String,
-    registry: Arc<PolicyRegistry>,
-    learned: L,
-    fallback: F,
-    learned_decisions: u64,
-    fallback_decisions: u64,
-}
-
-impl<L: LearnedPolicy, F: FallbackPolicy> GuardedPolicy<L, F> {
-    /// Creates the pair and registers `slot` with the standard two variants
-    /// (learned active first).
-    ///
-    /// Returns an error if the slot is already registered.
-    pub fn new(slot: &str, registry: Arc<PolicyRegistry>, learned: L, fallback: F) -> Result<Self> {
-        registry.register(slot, &[VARIANT_LEARNED, VARIANT_FALLBACK])?;
-        Ok(GuardedPolicy {
-            slot: slot.to_string(),
-            registry,
-            learned,
-            fallback,
-            learned_decisions: 0,
-            fallback_decisions: 0,
-        })
-    }
-
-    /// Decides via the active variant.
-    pub fn decide(&mut self, features: &[f64]) -> f64 {
-        if self.registry.is_active(&self.slot, VARIANT_LEARNED) {
-            self.learned_decisions += 1;
-            self.learned.decide(features)
-        } else {
-            self.fallback_decisions += 1;
-            self.fallback.decide(features)
-        }
-    }
-
-    /// Returns `true` when the learned variant is currently active.
-    pub fn learned_active(&self) -> bool {
-        self.registry.is_active(&self.slot, VARIANT_LEARNED)
-    }
-
-    /// Inference cost of the *active* variant (fallbacks are free in the P5
-    /// accounting, matching the paper's framing of inference overhead).
-    pub fn inference_cost(&self) -> u64 {
-        if self.learned_active() {
-            self.learned.inference_cost()
-        } else {
-            0
-        }
-    }
-
-    /// Decisions served by (learned, fallback) so far.
-    pub fn decision_counts(&self) -> (u64, u64) {
-        (self.learned_decisions, self.fallback_decisions)
-    }
-
-    /// Mutable access to the learned policy (for retraining).
-    pub fn learned_mut(&mut self) -> &mut L {
-        &mut self.learned
-    }
-
-    /// The slot name this pair is registered under.
-    pub fn slot(&self) -> &str {
-        &self.slot
-    }
-}
-
-impl<L, F> fmt::Debug for GuardedPolicy<L, F> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("GuardedPolicy")
-            .field("slot", &self.slot)
-            .field("learned_decisions", &self.learned_decisions)
-            .field("fallback_decisions", &self.fallback_decisions)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct ConstPolicy(f64);
-    impl LearnedPolicy for ConstPolicy {
-        fn decide(&mut self, _: &[f64]) -> f64 {
-            self.0
-        }
-        fn inference_cost(&self) -> u64 {
-            500
-        }
-    }
 
     #[test]
     fn registry_register_and_replace() {
@@ -455,39 +332,5 @@ mod tests {
         );
         assert!(reg.unregister_variant("io", "nope").is_err());
         assert!(reg.unregister_variant("ghost", "x").is_err());
-    }
-
-    #[test]
-    fn guarded_policy_dispatches_on_registry() {
-        let reg = Arc::new(PolicyRegistry::new());
-        let mut gp =
-            GuardedPolicy::new("io", Arc::clone(&reg), ConstPolicy(0.9), |_: &[f64]| 0.1).unwrap();
-        assert_eq!(gp.decide(&[]), 0.9);
-        assert!(gp.learned_active());
-        assert_eq!(gp.inference_cost(), 500);
-        reg.replace("io", VARIANT_FALLBACK).unwrap();
-        assert_eq!(gp.decide(&[]), 0.1);
-        assert_eq!(gp.inference_cost(), 0);
-        assert_eq!(gp.decision_counts(), (1, 1));
-        assert_eq!(gp.slot(), "io");
-    }
-
-    #[test]
-    fn duplicate_guarded_slot_fails() {
-        let reg = Arc::new(PolicyRegistry::new());
-        let _a =
-            GuardedPolicy::new("x", Arc::clone(&reg), ConstPolicy(1.0), |_: &[f64]| 0.0).unwrap();
-        assert!(
-            GuardedPolicy::new("x", Arc::clone(&reg), ConstPolicy(1.0), |_: &[f64]| 0.0).is_err()
-        );
-    }
-
-    #[test]
-    fn learned_mut_allows_retraining() {
-        let reg = Arc::new(PolicyRegistry::new());
-        let mut gp =
-            GuardedPolicy::new("y", Arc::clone(&reg), ConstPolicy(1.0), |_: &[f64]| 0.0).unwrap();
-        gp.learned_mut().0 = 2.0;
-        assert_eq!(gp.decide(&[]), 2.0);
     }
 }

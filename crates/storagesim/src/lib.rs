@@ -15,8 +15,6 @@
 //!   distribution shift;
 //! - [`linnos`]: the LinnOS-style MLP classifier over queue-depth +
 //!   latency-history features, trained online;
-//! - [`heuristic`]: baseline submission policies (always-primary, and a
-//!   queue-threshold failover);
 //! - [`mod@array`]: the 2-replica flash array with revoke/failover submission;
 //! - [`sim`]: the one Figure 2 datapath (`sim::Datapath`: array,
 //!   classifier and workload on a training/shift timeline, with the
@@ -36,7 +34,6 @@
 pub mod array;
 pub mod device;
 pub mod faultsim;
-pub mod heuristic;
 pub mod linnos;
 pub mod recovery;
 pub mod sim;

@@ -6,7 +6,6 @@
 //! This module reproduces that model with [`mlkit`]'s MLP (the same
 //! `features → 16 → 16 → 1` shape), trained online from completion feedback.
 
-use guardrails::policy::LearnedPolicy;
 use mlkit::{Adam, Loss, Matrix, Mlp, MlpConfig, OnlineScaler, OutputCorruption, ReplayBuffer};
 use simkernel::Nanos;
 
@@ -187,23 +186,6 @@ impl LinnosClassifier {
     }
 }
 
-impl LearnedPolicy for LinnosClassifier {
-    fn decide(&mut self, features: &[f64]) -> f64 {
-        let mut f = [0.0; NUM_FEATURES];
-        f.copy_from_slice(&features[..NUM_FEATURES]);
-        self.predict_proba(&f)
-    }
-
-    fn inference_cost(&self) -> u64 {
-        // A 5-16-16-1 MLP in fixed point: ~4µs on the paper's testbed scale.
-        4_000
-    }
-
-    fn retrain(&mut self) {
-        LinnosClassifier::retrain(self);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,13 +265,5 @@ mod tests {
             }
         }
         assert!(correct > 80, "post-retrain accuracy {correct}/100");
-    }
-
-    #[test]
-    fn learned_policy_trait_roundtrip() {
-        let mut clf = trained();
-        let p = LearnedPolicy::decide(&mut clf, &slow_features(0));
-        assert!(p > 0.5);
-        assert!(clf.inference_cost() > 0);
     }
 }

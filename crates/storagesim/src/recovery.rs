@@ -31,8 +31,7 @@
 //! - [`FaultKind::SnapshotCorrupt`] — the snapshot blob bit-rots. Recovery
 //!   detects the bad checksum, discards the snapshot whole, and — because
 //!   the state can no longer be vouched for — boots fail-closed
-//!   ([`RecoveryConfig::fail_closed_on_taint`]): fallbacks pinned, model
-//!   disabled.
+//!   ([`fail_closed`]): fallbacks pinned, model disabled.
 //!
 //! [`run_crash_loop`] adds the supervisor ladder: repeated rapid crashes
 //! escalate through doubled restart backoffs to a fail-closed stop
@@ -152,7 +151,6 @@ struct Driver {
     durable: bool,
     backend: Arc<MemBackend>,
     recovery_cfg: RecoveryConfig,
-    runtime: RuntimeConfig,
     report: RecoveryRunReport,
 }
 
@@ -190,7 +188,7 @@ impl Driver {
         let registry = self.fresh_registry();
         let (store, durable) = self.open_store();
         let mut engine = MonitorEngine::with_parts(store.clone(), registry.clone());
-        engine.apply_runtime(&self.runtime);
+        engine.apply_runtime(&RuntimeConfig::seed());
         engine.advance_to(at);
         engine
             .install_str(LISTING_2_SPEC)
@@ -214,13 +212,10 @@ impl Driver {
             store.save("ml_enabled", 1.0);
             store.save("false_submit_rate", 0.0);
         }
-        if self.durable && !first {
-            let rec_tainted = self.report.tainted;
-            if rec_tainted && self.recovery_cfg.fail_closed_on_taint {
-                // Recovery found damage it cannot vouch for: boot in the
-                // fail-closed posture rather than trusting partial state.
-                fail_closed(&registry, &store, &["ml_enabled"]);
-            }
+        if self.durable && !first && self.report.tainted {
+            // Recovery found damage it cannot vouch for: boot in the
+            // fail-closed posture rather than trusting partial state.
+            fail_closed(&registry, &store, &["ml_enabled"]);
         }
         let violations_at_boot = engine.stats().violations;
         Node {
@@ -331,16 +326,10 @@ fn run_plan(
     seed: u64,
 ) -> RecoveryRunReport {
     let recovery_cfg = RecoveryConfig::default();
-    let runtime = if durable {
-        RuntimeConfig::seed().with_recovery(recovery_cfg)
-    } else {
-        RuntimeConfig::seed()
-    };
     let mut driver = Driver {
         durable,
         backend: Arc::new(MemBackend::new()),
         recovery_cfg,
-        runtime,
         report: RecoveryRunReport {
             label,
             durable,
